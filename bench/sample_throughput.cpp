@@ -46,18 +46,8 @@ Variant
 runVariant(const std::vector<const Workload *> &workloads,
            unsigned cores)
 {
-    const CoreParams base = CoreParams::fourWide();
-    std::vector<NamedConfig> configs = renoBuildup(base);
-    for (const NamedConfig &cfg : divisionOfLabor(base)) {
-        if (cfg.name != "RENO")  // already in the build-up
-            configs.push_back(cfg);
-    }
-    if (cores > 1) {
-        for (NamedConfig &cfg : configs) {
-            cfg.params.sys.numCores = cores;
-            cfg.name += strprintf("/%uc", cores);
-        }
-    }
+    const std::vector<NamedConfig> configs = configsByName(
+        knownConfigNames(), CoreParams::fourWide(), cores);
 
     sample::SampleOptions options;
     options.plan.intervals = 8;

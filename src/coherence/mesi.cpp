@@ -75,6 +75,10 @@ CoherenceBus::beforeDataAccess(unsigned core, Addr addr,
     if (core >= numCores_)
         fatal("coherence bus: access from core %u of %u", core,
               numCores_);
+    // A lone core has no peer cache to snoop: every transition below
+    // is silent for it, so the directory is not kept at all.
+    if (numCores_ == 1)
+        return 0;
     const Addr line = lineAddr(addr);
     DirEntry &entry = directory_[line];
     const std::uint32_t bit = 1u << core;
@@ -146,6 +150,8 @@ CoherenceBus::beforeDataAccess(unsigned core, Addr addr,
 void
 CoherenceBus::onEviction(unsigned core, Addr addr, bool)
 {
+    if (numCores_ == 1)
+        return;
     const auto it = directory_.find(lineAddr(addr));
     if (it == directory_.end())
         return;

@@ -72,7 +72,9 @@ struct CoherenceBusState {
  * The snooping bus: a line-state directory over every core's private
  * D$, plus the event counters the SimResult coherence block reports.
  * Deterministic: state depends only on the order of calls, and the
- * System ticks cores round-robin in core order.
+ * System ticks cores round-robin in core order. A one-core bus has no
+ * peer cache to snoop, so it keeps no directory: every access is
+ * silent (penalty 0) and state() reports Invalid.
  */
 class CoherenceBus
 {

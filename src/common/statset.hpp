@@ -8,12 +8,8 @@
  * lookup. Because every counter is monotonic, "freezing" statistics
  * over a window is exact: the window's contribution is the delta of
  * two snapshots, which is how the sampled-simulation subsystem
- * measures its warmed intervals.
- *
- * StatSet complements StatGroup (common/stats.hpp): StatGroup wraps
- * Counter objects for dump/reset bookkeeping; StatSet hands out raw
- * std::uint64_t references (reference-stable for the set's lifetime)
- * and supports snapshot arithmetic.
+ * measures its warmed intervals. Counters are raw std::uint64_t
+ * references, stable for the set's lifetime.
  */
 #pragma once
 

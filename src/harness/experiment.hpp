@@ -6,6 +6,7 @@
  */
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -13,6 +14,7 @@
 
 #include "asm/assembler.hpp"
 #include "cpa/critpath.hpp"
+#include "emu/emulator.hpp"
 #include "obs/cpireport.hpp"
 #include "uarch/core.hpp"
 #include "uarch/params.hpp"
@@ -64,6 +66,19 @@ std::vector<NamedConfig> divisionOfLabor(const CoreParams &base);
  */
 bool configByName(const std::string &name, const CoreParams &base,
                   NamedConfig *out);
+
+/**
+ * Resolve @p names with configByName() on top of @p base, fatal()ing
+ * on an unknown name with the list of known presets, and run every
+ * config on @p cores cores: the drivers' --cores N, equivalent to a
+ * "/Nc" suffix on each name (the suffix keeps multi-core rows
+ * distinguishable in reports). @p cores <= 1 leaves the core counts
+ * as parsed; a larger count fatal()s on a config that already runs
+ * more than one core.
+ */
+std::vector<NamedConfig>
+configsByName(const std::vector<std::string> &names,
+              const CoreParams &base, unsigned cores = 1);
 
 /** Names accepted by configByName(), in presentation order. */
 std::vector<std::string> knownConfigNames();
@@ -130,37 +145,46 @@ std::string renderSuiteList();
 const Program &assembleWorkload(const Workload &workload);
 
 /**
- * Run @p workload on @p params; optionally attach a CPA. A config
- * with sys.numCores > 1 dispatches to runWorkloadMulti(); one core
- * takes the historical single-core path, byte-identical outputs.
+ * The SPMD emulator set every run of @p workload executes on: one
+ * emulator per core, core i running the kernel with core_id i and
+ * rand seed workload.seed + i. The emulators live on the heap, so the
+ * core-order views stay valid when the set moves.
+ */
+struct EmulatorSet {
+    std::vector<std::unique_ptr<Emulator>> owned;
+    std::vector<Emulator *> cores;  //!< core order (System, warmStep)
+
+    /** Aggregate executed-instruction count over the cores. */
+    std::uint64_t instCount() const;
+    /** True once every core's program has exited. */
+    bool done() const;
+};
+
+EmulatorSet makeEmulators(const Workload &workload,
+                          unsigned num_cores);
+
+/**
+ * Run @p workload SPMD on a System of params.sys.numCores cores (see
+ * makeEmulators). The RunOutput concatenates per-core program outputs
+ * in core order and folds the per-core memory digests into one hash
+ * (the raw digest at one core). @p cpa, when non-null, attaches to
+ * core 0; fatal()s on a multi-core config, where critical-path
+ * analysis is undefined.
  */
 RunOutput runWorkload(const Workload &workload, const CoreParams &params,
                       CriticalPathAnalyzer *cpa = nullptr);
 
 /**
- * Run @p workload SPMD on an N-core System: every core executes the
- * kernel with its own emulator (core_id syscall = core index, rand
- * seeded workload.seed + index). The RunOutput concatenates per-core
- * program outputs in core order and folds the per-core memory
- * digests into one hash. fatal()s when @p cpa is non-null: critical
- * -path analysis is single-core only.
- */
-RunOutput runWorkloadMulti(const Workload &workload,
-                           const CoreParams &params,
-                           CriticalPathAnalyzer *cpa = nullptr);
-
-/** Run just the functional emulator (reference state / output). */
-RunOutput runFunctional(const Workload &workload);
-
-/**
- * Functional-only SPMD run over @p num_cores emulator streams
- * (constructed exactly as runWorkloadMulti constructs them). emuInsts
- * is the aggregate dynamic instruction count, outputs concatenate in
- * core order, and the memory digest folds per-core digests with the
- * same hash as runWorkloadMulti (raw digest at one core).
+ * Functional-only SPMD run over @p num_cores emulator streams (the
+ * same set runWorkload simulates). emuInsts is the aggregate dynamic
+ * instruction count; output and memory digest fold as in
+ * runWorkload.
  */
 RunOutput runFunctionalMulti(const Workload &workload,
                              unsigned num_cores);
+
+/** Run just the functional emulator (reference state / output). */
+RunOutput runFunctional(const Workload &workload);
 
 /** Percentage speedup of @p cycles against @p base_cycles. */
 double speedupPercent(std::uint64_t base_cycles, std::uint64_t cycles);

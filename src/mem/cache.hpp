@@ -17,7 +17,6 @@
 #include <map>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "mem/mem_level.hpp"
 #include "mem/prefetcher.hpp"

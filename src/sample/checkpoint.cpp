@@ -13,20 +13,27 @@ namespace reno::sample
 namespace
 {
 
-// v3 generalized the warm half to a hierarchy of arbitrary depth:
-// a "levels N" header followed by one per-cache block carrying dirty
-// and prefetched line flags plus the prefetcher training table. v4
-// replaced the hardwired hybrid-predictor block with the generic
-// composable-stack encoding (any direction engine's tables, BTB,
-// RAS, indirect-target table). v5 added multi-core slots: a "cores N"
-// header followed by one functional block per core (each core of a
-// System runs its own emulator), then the warm half. On one core the
-// warm half is the single-core WarmState layout, byte-stable across
-// versions; on N > 1 cores it is the SysWarmState layout -- the MESI
-// directory ("bus" + sorted "busln" lines), the shared stack
-// ("sharedlevels" + cache blocks) and one "corewarm" block per core
-// (lastblk, private L1s, full predictor state).
-constexpr const char *CheckpointTag = "reno-checkpoint v5";
+// Format (text, one record per line; v6):
+//
+//   reno-checkpoint v6
+//   cores N
+//   core i / prog / inst / exit / rand / done / pc / regs / output /
+//     pages K + K "page" lines            (functional block, per core)
+//   warmcfg D                            (warmConfigDigest, N folded)
+//   bus L inval interv upgr wb + L sorted "busln" lines (MESI
+//     directory; empty at one core, which keeps none)
+//   sharedlevels S + S cache blocks      (L2 first)
+//   corewarm i / lastblk / levels 2 + I$ and D$ cache blocks /
+//     predictor block                    (per core)
+//   digest H                             (FNV-1a over all of the above)
+//
+// A cache block is "cache name lruClock lines pfentries" followed by
+// its "line" and "pfent" records; the predictor block is the
+// composable-stack encoding (direction tables, BTB, RAS, indirect
+// table). v6 gave every core count this one layout; v5 had a
+// separate one-core warm half, so v5 files (and their keys, through
+// the warm-config digest) no longer match.
+constexpr const char *CheckpointTag = "reno-checkpoint v6";
 constexpr const char *ProfileTag = "reno-funcprofile v1";
 
 std::string
@@ -260,8 +267,7 @@ decodeEmuHalf(std::istream &in, std::string &line, unsigned core,
 }
 
 /** The composable-predictor state block (direction tables, BTB, RAS,
- *  indirect-target table) -- one per warm state, shared between the
- *  single-core warm half and each multi-core "corewarm" block. */
+ *  indirect-target table), one per "corewarm" block. */
 void
 encodeBpredState(std::string &out, const BranchPredState &bp)
 {
@@ -387,10 +393,10 @@ decodeBpredState(std::istream &in, std::string &line,
     return true;
 }
 
-/** Multi-core warm half: MESI directory, shared stack, then one
- *  "corewarm" block (lastblk + L1s + predictor) per core. */
+/** The warm half: MESI directory, shared stack, then one "corewarm"
+ *  block (lastblk + L1s + predictor) per core. */
 void
-encodeSysWarmHalf(std::string &out, const SysWarmState &warm)
+encodeWarmHalf(std::string &out, const WarmState &warm)
 {
     out += strprintf("warmcfg %llu\n",
                      static_cast<unsigned long long>(warmConfigDigest(
@@ -432,12 +438,10 @@ encodeSysWarmHalf(std::string &out, const SysWarmState &warm)
 }
 
 bool
-decodeSysWarmHalf(std::istream &in, std::string &line,
-                  const MemHierarchy::Params &mem_params,
-                  const BranchPredParams &bp_params,
-                  unsigned num_cores,
-                  std::shared_ptr<SysWarmState> *out,
-                  std::string *why)
+decodeWarmHalf(std::istream &in, std::string &line,
+               const MemHierarchy::Params &mem_params,
+               const BranchPredParams &bp_params, unsigned num_cores,
+               std::shared_ptr<WarmState> *out, std::string *why)
 {
     const auto fail = [why](const std::string &reason) {
         if (why)
@@ -448,8 +452,8 @@ decodeSysWarmHalf(std::istream &in, std::string &line,
         return std::getline(in, line) && keyU64(line, key, v);
     };
 
-    auto warm = std::make_shared<SysWarmState>(mem_params, bp_params,
-                                               num_cores);
+    auto warm = std::make_shared<WarmState>(mem_params, bp_params,
+                                            num_cores);
 
     std::uint64_t warmcfg = 0;
     if (!next_u64("warmcfg", &warmcfg) ||
@@ -596,42 +600,13 @@ CheckpointStore::encode(const SampleCheckpoint &ckpt)
 {
     if (!ckpt.usable())
         fatal("encoding an unusable checkpoint");
-    if (ckpt.sysWarm && ckpt.sysWarm->numCores() != ckpt.numCores())
-        fatal("encoding a checkpoint whose warm state spans %u cores "
-              "but snapshots %u", ckpt.sysWarm->numCores(),
-              ckpt.numCores());
 
     std::string out = CheckpointTag;
     out += '\n';
-
-    // --- functional half, one block per core --------------------------
     out += strprintf("cores %u\n", ckpt.numCores());
-    encodeEmuHalf(out, 0, *ckpt.emu);
-    for (std::size_t i = 0; i < ckpt.extraEmus.size(); ++i)
-        encodeEmuHalf(out, static_cast<unsigned>(i + 1),
-                      *ckpt.extraEmus[i]);
-
-    // --- warm half ----------------------------------------------------
-    if (ckpt.sysWarm) {
-        encodeSysWarmHalf(out, *ckpt.sysWarm);
-    } else {
-        const WarmState &warm = *ckpt.warm;
-        out += strprintf("warmcfg %llu\n",
-                         static_cast<unsigned long long>(
-                             warmConfigDigest(warm.memParams(),
-                                              warm.bpParams(),
-                                              ckpt.numCores())));
-        out += strprintf("lastblk %llu\n",
-                         static_cast<unsigned long long>(
-                             warm.lastFetchBlock));
-        const MemHierarchy::State mem_state = warm.mem.exportState();
-        const std::vector<const Cache *> levels = warm.mem.levels();
-        out += strprintf("levels %zu\n", mem_state.caches.size());
-        for (std::size_t i = 0; i < mem_state.caches.size(); ++i)
-            encodeCacheState(out, levels[i]->name(),
-                             mem_state.caches[i]);
-        encodeBpredState(out, warm.bp.exportState());
-    }
+    for (unsigned i = 0; i < ckpt.numCores(); ++i)
+        encodeEmuHalf(out, i, *ckpt.emus[i]);
+    encodeWarmHalf(out, *ckpt.warm);
 
     // Integrity digest over everything above.
     Fnv64 h;
@@ -692,83 +667,21 @@ CheckpointStore::decode(const std::string &text,
                                   num_cores),
                               expected_cores));
 
-    auto emu = std::make_shared<EmuCheckpoint>();
-    if (!decodeEmuHalf(in, line, 0, emu.get()))
-        return fail("corrupt functional block (core 0)");
-    std::vector<std::shared_ptr<const EmuCheckpoint>> extra;
-    for (std::uint64_t c = 1; c < num_cores; ++c) {
+    std::vector<std::shared_ptr<const EmuCheckpoint>> emus;
+    for (unsigned c = 0; c < expected_cores; ++c) {
         auto e = std::make_shared<EmuCheckpoint>();
-        if (!decodeEmuHalf(in, line, static_cast<unsigned>(c),
-                           e.get()))
-            return fail(strprintf("corrupt functional block "
-                                  "(core %llu)",
-                                  static_cast<unsigned long long>(c)));
-        extra.push_back(std::move(e));
+        if (!decodeEmuHalf(in, line, c, e.get()))
+            return fail(strprintf("corrupt functional block (core %u)",
+                                  c));
+        emus.push_back(std::move(e));
     }
 
-    // Warm half. Multi-core checkpoints carry the SysWarmState
-    // layout; single-core ones the historical WarmState layout.
-    if (num_cores > 1) {
-        std::shared_ptr<SysWarmState> sys_warm;
-        if (!decodeSysWarmHalf(in, line, mem_params, bp_params,
-                               static_cast<unsigned>(num_cores),
-                               &sys_warm, why))
-            return false;
-        out->emu = std::move(emu);
-        out->warm = nullptr;
-        out->extraEmus = std::move(extra);
-        out->sysWarm = std::move(sys_warm);
-        return true;
-    }
-
-    // The file's warm-config digest must match the models we are
-    // asked to rebuild onto.
-    std::uint64_t warmcfg = 0;
-    if (!next_u64("warmcfg", &warmcfg) ||
-        warmcfg != warmConfigDigest(mem_params, bp_params,
-                                    static_cast<unsigned>(num_cores)))
-        return fail("warm-config digest does not match the target "
-                    "models");
-    std::uint64_t lastblk = 0;
-    if (!next_u64("lastblk", &lastblk))
-        return fail("corrupt warm half (lastblk)");
-
-    // Per-level blocks arrive in State order; each must carry the
-    // level name the target hierarchy expects, so a reordered or
-    // spliced file fails the decode instead of warming wrong levels.
-    std::vector<std::string> level_names = {mem_params.icache.name,
-                                            mem_params.dcache.name,
-                                            mem_params.l2.name};
-    for (const CacheParams &extra_level : mem_params.extraLevels)
-        level_names.push_back(extra_level.name);
-    std::uint64_t num_levels = 0;
-    if (!next_u64("levels", &num_levels) ||
-        num_levels != level_names.size())
-        return fail("cache-level count does not match the target "
-                    "geometry");
-    MemHierarchy::State mem_state;
-    mem_state.caches.resize(num_levels);
-    for (std::uint64_t i = 0; i < num_levels; ++i) {
-        if (!decodeCacheState(in, line, level_names[i],
-                              &mem_state.caches[i]))
-            return fail(strprintf("corrupt cache block ('%s')",
-                                  level_names[i].c_str()));
-    }
-
-    BranchPredState bp;
-    if (!decodeBpredState(in, line, &bp))
-        return fail("corrupt predictor block");
-
-    auto warm = std::make_shared<WarmState>(mem_params, bp_params);
-    warm->lastFetchBlock = lastblk;
-    if (!warm->mem.importState(mem_state) ||
-        !warm->bp.importState(bp))
-        return fail("warm tables do not fit the target models");
-
-    out->emu = std::move(emu);
+    std::shared_ptr<WarmState> warm;
+    if (!decodeWarmHalf(in, line, mem_params, bp_params,
+                        expected_cores, &warm, why))
+        return false;
+    out->emus = std::move(emus);
     out->warm = std::move(warm);
-    out->extraEmus = std::move(extra);
-    out->sysWarm = nullptr;
     return true;
 }
 
@@ -917,43 +830,19 @@ CheckpointStore::lookup(const Workload &workload,
 
 SampleCheckpoint
 CheckpointStore::store(const Workload &workload,
-                       std::uint64_t start_inst, EmuCheckpoint emu,
+                       std::uint64_t start_inst,
+                       std::vector<EmuCheckpoint> emus,
                        const WarmState &warm)
-{
-    SampleCheckpoint ckpt;
-    ckpt.emu =
-        std::make_shared<const EmuCheckpoint>(std::move(emu));
-    ckpt.warm = std::make_shared<const WarmState>(warm);
-    const std::uint64_t key = checkpointKey(
-        workload, start_inst,
-        warmConfigDigest(warm.memParams(), warm.bpParams(), 1));
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        mem_[key] = ckpt;
-    }
-    if (!dir_.empty())
-        writeFileAtomic(dir_, checkpointPath(key), encode(ckpt));
-    return ckpt;
-}
-
-SampleCheckpoint
-CheckpointStore::storeMulti(const Workload &workload,
-                            std::uint64_t start_inst,
-                            std::vector<EmuCheckpoint> emus,
-                            const SysWarmState &warm)
 {
     if (emus.size() != warm.numCores())
         fatal("checkpoint store: %u-core warm state given %zu "
               "functional snapshots",
               warm.numCores(), emus.size());
     SampleCheckpoint ckpt;
-    ckpt.emu =
-        std::make_shared<const EmuCheckpoint>(std::move(emus[0]));
-    for (std::size_t i = 1; i < emus.size(); ++i)
-        ckpt.extraEmus.push_back(
-            std::make_shared<const EmuCheckpoint>(
-                std::move(emus[i])));
-    ckpt.sysWarm = std::make_shared<const SysWarmState>(warm);
+    for (EmuCheckpoint &emu : emus)
+        ckpt.emus.push_back(
+            std::make_shared<const EmuCheckpoint>(std::move(emu)));
+    ckpt.warm = std::make_shared<const WarmState>(warm);
     const std::uint64_t key = checkpointKey(
         workload, start_inst,
         warmConfigDigest(warm.memParams(), warm.bpParams(),
@@ -965,6 +854,15 @@ CheckpointStore::storeMulti(const Workload &workload,
     if (!dir_.empty())
         writeFileAtomic(dir_, checkpointPath(key), encode(ckpt));
     return ckpt;
+}
+
+SampleCheckpoint
+CheckpointStore::store(const Workload &workload,
+                       std::uint64_t start_inst, EmuCheckpoint emu,
+                       const WarmState &warm)
+{
+    return store(workload, start_inst,
+                 std::vector<EmuCheckpoint>{std::move(emu)}, warm);
 }
 
 bool

@@ -1,14 +1,14 @@
 /**
  * @file
  * Checkpoints as cacheable artifacts. A sampled-simulation checkpoint
- * -- functional state plus functionally warmed cache/predictor tables
- * -- is fully determined by (kernel source, input seed, instruction
- * position, mem+bpred parameters), so it is keyed, like simulation
- * results, by a content digest of exactly those inputs, and optionally
- * persisted one file per key under the campaign cache directory. Each
- * persisted checkpoint carries a digest of its own contents, so a
- * corrupt or stale file is detected and regenerated instead of being
- * silently restored.
+ * -- per-core functional state plus the functionally warmed system
+ * state -- is fully determined by (kernel source, input seed,
+ * aggregate instruction position, core count, mem+bpred parameters),
+ * so it is keyed, like simulation results, by a content digest of
+ * exactly those inputs, and optionally persisted one file per key
+ * under the campaign cache directory. Each persisted checkpoint
+ * carries a digest of its own contents, so a corrupt or stale file is
+ * detected and regenerated instead of being silently restored.
  *
  * The store also keeps one tiny "functional profile" per (kernel,
  * seed): the program's dynamic instruction count and final memory
@@ -21,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "emu/emulator.hpp"
 #include "sample/interval.hpp"
@@ -80,19 +81,17 @@ class CheckpointStore
                             const BranchPredParams &bp_params,
                             unsigned num_cores = 1);
 
-    /** Insert a single-core checkpoint (memory, plus disk when
-     *  persistent). */
-    SampleCheckpoint
-    store(const Workload &workload, std::uint64_t start_inst,
-          EmuCheckpoint emu, const WarmState &warm);
-
-    /** Insert a multi-core checkpoint: one functional snapshot per
-     *  core (core order, warm.numCores() of them) plus the shared
-     *  warmed system state, which is cloned. */
-    SampleCheckpoint
-    storeMulti(const Workload &workload, std::uint64_t start_inst,
-               std::vector<EmuCheckpoint> emus,
-               const SysWarmState &warm);
+    /** Insert a checkpoint (memory, plus disk when persistent): one
+     *  functional snapshot per core (core order, warm.numCores() of
+     *  them) plus the warmed system state, which is cloned. */
+    SampleCheckpoint store(const Workload &workload,
+                           std::uint64_t start_inst,
+                           std::vector<EmuCheckpoint> emus,
+                           const WarmState &warm);
+    /** One-core store. */
+    SampleCheckpoint store(const Workload &workload,
+                           std::uint64_t start_inst, EmuCheckpoint emu,
+                           const WarmState &warm);
 
     bool lookupProfile(std::uint64_t key, FuncProfile *out);
     void storeProfile(std::uint64_t key, const FuncProfile &profile);

@@ -105,160 +105,56 @@ runIntervalDetailed(const Workload &workload, const CoreParams &params,
 {
     if (window.measureInsts == 0)
         fatal("runIntervalDetailed: window has no measured insts");
-    // Multi-core configurations take the interleaved-warming engine;
-    // one core keeps the historical path, byte-identical results.
-    if (params.sys.numCores > 1)
-        return runIntervalMulti(workload, params, window, ckpt,
-                                cpi_out);
-
-    const Program &prog = assembleWorkload(workload);
-    Emulator::Options opts;
-    opts.randSeed = workload.seed;
-    Emulator emu(prog, opts);
-
-    // Bring functional state and warm tables to startInst. A usable
-    // checkpoint skips the [0, checkpoint) prefix; otherwise warm
-    // from the program start (same deterministic stream, chopped
-    // differently -- identical state either way).
-    const WarmState *inject = nullptr;
-    std::unique_ptr<WarmState> scratch;
-    if (ckpt && ckpt->usable() &&
-        ckpt->emu->instCount <= window.startInst &&
-        warmConfigDigest(params) ==
-            warmConfigDigest(ckpt->warm->memParams(),
-                             ckpt->warm->bpParams())) {
-        {
-            obs::PhaseSpan phase("sample.restore");
-            emu.restore(*ckpt->emu);
-        }
-        if (ckpt->emu->instCount == window.startInst) {
-            inject = ckpt->warm.get();
-        } else {
-            scratch = std::make_unique<WarmState>(*ckpt->warm);
-            obs::PhaseSpan phase("sample.fastforward");
-            const std::uint64_t ff_start = emu.instCount();
-            warmStep(emu, *scratch, window.startInst);
-            phase.setInsts(emu.instCount() - ff_start);
-            inject = scratch.get();
-        }
-    } else {
-        scratch = std::make_unique<WarmState>(params.mem,
-                                              params.bpred);
-        obs::PhaseSpan phase("sample.fastforward");
-        const std::uint64_t ff_start = emu.instCount();
-        warmStep(emu, *scratch, window.startInst);
-        phase.setInsts(emu.instCount() - ff_start);
-        inject = scratch.get();
-    }
-    if (emu.done())
-        return SimResult{};
-
-    Core core(params, emu);
-    core.memHierarchy().copyStateFrom(inject->mem);
-    core.memHierarchy().settle();
-    core.branchPredictor() = inject->bp;
-
-    if (window.warmupInsts > 0) {
-        obs::PhaseSpan phase("sample.warmup");
-        core.runUntilRetired(window.warmupInsts);
-        phase.setInsts(core.result().retired);
-    }
-    const SimResult pre = core.result();
-    const obs::CpiStack pre_stack =
-        core.cpiStack() ? *core.cpiStack() : obs::CpiStack{};
-    SimResult post;
-    {
-        obs::PhaseSpan phase("sample.detailed");
-        post = core.runUntilRetired(window.warmupInsts +
-                                    window.measureInsts);
-        phase.setInsts(post.retired - pre.retired);
-    }
-    if (cpi_out && core.cpiStack())
-        *cpi_out = core.cpiStack()->delta(pre_stack);
-    return deltaResult(post, pre);
-}
-
-SimResult
-runIntervalMulti(const Workload &workload, const CoreParams &params,
-                 const IntervalWindow &window,
-                 const SampleCheckpoint *ckpt,
-                 obs::CpiStack *cpi_out)
-{
-    if (window.measureInsts == 0)
-        fatal("runIntervalMulti: window has no measured insts");
     const unsigned n = params.sys.numCores;
     if (n < 1 || n > SysParams::MaxCores)
-        fatal("runIntervalMulti: core count must be in [1, %u] "
+        fatal("runIntervalDetailed: core count must be in [1, %u] "
               "(got %u)", SysParams::MaxCores, n);
 
-    // SPMD, exactly as runWorkloadMulti constructs the cores: the
-    // kernel differentiates through the core_id syscall and a
-    // per-core rand stream.
-    const Program &prog = assembleWorkload(workload);
-    std::vector<std::unique_ptr<Emulator>> emus;
-    std::vector<Emulator *> emu_ptrs;
-    for (unsigned i = 0; i < n; ++i) {
-        Emulator::Options opts;
-        opts.randSeed = workload.seed + i;
-        opts.coreId = i;
-        emus.push_back(std::make_unique<Emulator>(prog, opts));
-        emu_ptrs.push_back(emus.back().get());
-    }
-    const auto aggregate = [&emu_ptrs] {
-        std::uint64_t total = 0;
-        for (const Emulator *emu : emu_ptrs)
-            total += emu->instCount();
-        return total;
-    };
+    EmulatorSet emus = makeEmulators(workload, n);
 
     // Bring functional state and warm tables to the window start (an
-    // aggregate position). A usable checkpoint skips the warmed
-    // prefix; the stateless interleave rule makes the chopped and
-    // unchopped streams bit-identical.
-    const SysWarmState *inject = nullptr;
-    std::unique_ptr<SysWarmState> scratch;
+    // aggregate position). A usable checkpoint of this core count
+    // skips the warmed prefix; the stateless interleave rule makes the
+    // chopped and unchopped streams bit-identical. Any other
+    // checkpoint is ignored: warm from the program start.
+    const WarmState *inject = nullptr;
+    std::unique_ptr<WarmState> scratch;
     if (ckpt && ckpt->usable() && ckpt->numCores() == n &&
         ckpt->instCount() <= window.startInst &&
         warmConfigDigest(params) ==
-            warmConfigDigest(ckpt->sysWarm->memParams(),
-                             ckpt->sysWarm->bpParams(),
-                             ckpt->sysWarm->numCores())) {
+            warmConfigDigest(ckpt->warm->memParams(),
+                             ckpt->warm->bpParams(), n)) {
         {
             obs::PhaseSpan phase("sample.restore");
-            emus[0]->restore(*ckpt->emu);
-            for (unsigned i = 1; i < n; ++i)
-                emus[i]->restore(*ckpt->extraEmus[i - 1]);
+            for (unsigned i = 0; i < n; ++i)
+                emus.cores[i]->restore(*ckpt->emus[i]);
         }
-        if (ckpt->instCount() == window.startInst) {
-            inject = ckpt->sysWarm.get();
-        } else {
-            scratch = std::make_unique<SysWarmState>(*ckpt->sysWarm);
-            obs::PhaseSpan phase("sample.fastforward");
-            const std::uint64_t ff_start = aggregate();
-            warmStepMulti(emu_ptrs, *scratch, window.startInst);
-            phase.setInsts(aggregate() - ff_start);
-            inject = scratch.get();
-        }
+        if (ckpt->instCount() == window.startInst)
+            inject = ckpt->warm.get();
+        else
+            scratch = std::make_unique<WarmState>(*ckpt->warm);
     } else {
-        scratch = std::make_unique<SysWarmState>(params.mem,
-                                                 params.bpred, n);
+        scratch = std::make_unique<WarmState>(params.mem, params.bpred,
+                                              n);
+    }
+    if (scratch) {
         obs::PhaseSpan phase("sample.fastforward");
-        warmStepMulti(emu_ptrs, *scratch, window.startInst);
-        phase.setInsts(aggregate());
+        const std::uint64_t ff_start = emus.instCount();
+        warmStep(emus.cores, *scratch, window.startInst);
+        phase.setInsts(emus.instCount() - ff_start);
         inject = scratch.get();
     }
-    if (std::all_of(emu_ptrs.begin(), emu_ptrs.end(),
-                    [](const Emulator *e) { return e->done(); }))
+    if (emus.done())
         return SimResult{};
 
-    System sys(params, emu_ptrs);
+    System sys(params, emus.cores);
     for (std::size_t i = 0; i < sys.numSharedLevels(); ++i) {
         sys.sharedLevel(i).copyStateFrom(inject->sharedLevel(i));
         sys.sharedLevel(i).settle();
     }
     if (!sys.bus().importState(inject->bus().exportState()))
-        fatal("runIntervalMulti: warmed MESI directory does not fit "
-              "a %u-core bus", n);
+        fatal("runIntervalDetailed: warmed MESI directory does not "
+              "fit a %u-core bus", n);
     for (unsigned i = 0; i < n; ++i) {
         sys.core(i).memHierarchy().copyStateFrom(inject->coreMem(i));
         sys.core(i).memHierarchy().settle();

@@ -3,10 +3,10 @@
  * The interval engine of the sampled-simulation subsystem
  * (SimpleScalar-lineage fast-forward + interval sampling): fast-forward
  * functionally to an interval's start (optionally from a checkpoint),
- * run the detailed core through a warmup window (branch predictor,
- * caches and integration table warming; stats discarded) and then a
- * measured window, and aggregate per-interval measurements into a
- * whole-program estimate with error bars.
+ * run the detailed System (1..N cores) through a warmup window
+ * (branch predictor, caches and integration table warming; stats
+ * discarded) and then a measured window, and aggregate per-interval
+ * measurements into a whole-program estimate with error bars.
  *
  * All statistics in SimResult are monotonic counters, so "freezing"
  * stats during warmup is exact: a window's contribution is the
@@ -90,95 +90,76 @@ SimResult deltaResult(const SimResult &post, const SimResult &pre);
 void accumulateResult(SimResult &into, const SimResult &add);
 
 /**
- * A sampled-simulation checkpoint: the functional state plus the
- * functionally warmed cache/predictor tables at the same instruction
- * position. Both halves are derived deterministically from (kernel,
- * seed, position[, mem+bpred params]), so a checkpoint accelerates a
- * job without being part of its content digest.
+ * A sampled-simulation checkpoint: the functional state of every core
+ * plus the functionally warmed system state at the same aggregate
+ * instruction position. Both halves are derived deterministically
+ * from (kernel, seed, position, core count[, mem+bpred params]), so a
+ * checkpoint accelerates a job without being part of its content
+ * digest.
  */
 struct SampleCheckpoint {
-    std::shared_ptr<const EmuCheckpoint> emu;  //!< core 0
-    /** Single-core warmed tables; null on multi-core checkpoints
-     *  (which warm through sysWarm instead). */
+    /** One functional snapshot per core, core order: every core of a
+     *  System runs its own emulator. */
+    std::vector<std::shared_ptr<const EmuCheckpoint>> emus;
+    /** The warmed shared stack, MESI directory and per-core L1/bpred
+     *  slices, spanning emus.size() cores. */
     std::shared_ptr<const WarmState> warm;
-    /** Remaining cores' functional checkpoints on a multi-core
-     *  System (entry i is core i + 1): every core runs its own
-     *  emulator, so each needs its own functional snapshot. Empty on
-     *  a single-core checkpoint. */
-    std::vector<std::shared_ptr<const EmuCheckpoint>> extraEmus;
-    /** Multi-core warmed state: shared stack, MESI directory and the
-     *  per-core L1/bpred slices. Null on single-core checkpoints. */
-    std::shared_ptr<const SysWarmState> sysWarm;
 
     /** Cores this checkpoint snapshots. */
     unsigned
     numCores() const
     {
-        return 1 + static_cast<unsigned>(extraEmus.size());
+        return static_cast<unsigned>(emus.size());
     }
 
     /** Aggregate instruction position (the sum over the cores). */
     std::uint64_t
     instCount() const
     {
-        std::uint64_t total = emu ? emu->instCount : 0;
-        for (const auto &extra : extraEmus)
-            total += extra ? extra->instCount : 0;
+        std::uint64_t total = 0;
+        for (const auto &emu : emus)
+            total += emu ? emu->instCount : 0;
         return total;
     }
 
     bool
     usable() const
     {
-        if (emu == nullptr)
+        if (emus.empty() || warm == nullptr ||
+            warm->numCores() != numCores())
             return false;
-        for (const auto &extra : extraEmus) {
-            if (extra == nullptr)
+        for (const auto &emu : emus) {
+            if (emu == nullptr)
                 return false;
         }
-        if (extraEmus.empty())
-            return warm != nullptr;
-        return sysWarm != nullptr &&
-               sysWarm->numCores() == numCores();
+        return true;
     }
 };
 
 /**
- * Execute one interval. The interval's semantics are fixed: caches
- * and branch predictor functionally warmed over the FULL history
+ * Execute one interval on a System of params.sys.numCores cores. The
+ * interval's semantics are fixed: caches, MESI directory and branch
+ * predictors functionally warmed over the FULL history
  * [0, startInst), then warmupInsts of detailed warmup, then the
- * measured window's stats delta. A usable checkpoint at or before
- * startInst (with matching warm-state parameters) only accelerates
- * the warming -- results are bit-identical with or without it.
- * Returns an all-zero SimResult when the program ends before the
+ * measured window's stats delta. Window positions and lengths are
+ * AGGREGATE retired-instruction counts -- the sum over the cores --
+ * matching the deterministic interleave of warmStep and of
+ * System::runUntilRetired. A usable checkpoint of the same core
+ * count, at or before startInst and with matching warm-state
+ * parameters, only accelerates the warming -- results are
+ * bit-identical with or without it; any other checkpoint is ignored.
+ * Returns an all-zero SimResult when every program ends before the
  * measured window begins.
  *
  * When @p cpi_out is non-null and obs::CpiAccounting is enabled, it
- * receives the measured window's CPI-stack delta (summed over cores
- * on a multi-core config); otherwise it is left zeroed.
+ * receives the measured window's CPI-stack delta, summed over the
+ * cores; otherwise it is left zeroed.
  */
 SimResult runIntervalDetailed(const Workload &workload,
                               const CoreParams &params,
                               const IntervalWindow &window,
                               const SampleCheckpoint *ckpt = nullptr,
                               obs::CpiStack *cpi_out = nullptr);
-
-/**
- * The multi-core interval engine (runIntervalDetailed dispatches
- * here when params.sys.numCores > 1; the single-core path is
- * untouched). Window positions and lengths are AGGREGATE retired
- * -instruction counts -- the sum over the cores -- matching the
- * deterministic interleave of functional warming (warmStepMulti) and
- * of System::runUntilRetired. Warming drives all N emulator streams
- * through the shared stack and the warming-mode MESI bus, then the
- * warmed directory, shared levels, L1s and predictors are injected
- * into a fresh System for the detailed window.
- */
-SimResult runIntervalMulti(const Workload &workload,
-                           const CoreParams &params,
-                           const IntervalWindow &window,
-                           const SampleCheckpoint *ckpt = nullptr,
-                           obs::CpiStack *cpi_out = nullptr);
 
 /** Whole-program estimate aggregated from measured windows. */
 struct SampledEstimate {

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <map>
-#include <memory>
 
 #include "common/log.hpp"
 #include "common/report.hpp"
@@ -163,54 +162,23 @@ prepareWorkload(WorkloadPrep &prep,
         if (capture.empty())
             continue;
 
-        const Program &prog = assembleWorkload(w);
-        if (cores == 1) {
-            Emulator::Options opts;
-            opts.randSeed = w.seed;
-            Emulator emu(prog, opts);
-            WarmState warm(rep.mem, rep.bpred);
-            obs::PhaseSpan phase("sample.capture");
-            for (const std::size_t i : capture) {
-                warmStep(emu, warm, windows[i].window.startInst);
-                prep.checkpoints[gi][i] = store.store(
-                    w, windows[i].window.startInst,
-                    emu.checkpoint(), warm);
-            }
-            phase.setInsts(emu.instCount());
-            continue;
-        }
-
-        // Multi-core capture: one interleaved warming pass drives
-        // every emulator stream through the shared stack and the
-        // warming-mode MESI bus; each ascending aggregate position
-        // snapshots all N functional states plus the system warm
-        // state.
-        std::vector<std::unique_ptr<Emulator>> emus;
-        std::vector<Emulator *> emu_ptrs;
-        for (unsigned c = 0; c < cores; ++c) {
-            Emulator::Options opts;
-            opts.randSeed = w.seed + c;
-            opts.coreId = c;
-            emus.push_back(std::make_unique<Emulator>(prog, opts));
-            emu_ptrs.push_back(emus.back().get());
-        }
-        SysWarmState warm(rep.mem, rep.bpred, cores);
+        // One ascending warming pass drives every core's emulator
+        // stream through the shared stack and the warming-mode MESI
+        // bus; each position snapshots all functional states plus the
+        // system warm state.
+        EmulatorSet emus = makeEmulators(w, cores);
+        WarmState warm(rep.mem, rep.bpred, cores);
         obs::PhaseSpan phase("sample.capture");
         for (const std::size_t i : capture) {
-            warmStepMulti(emu_ptrs, warm,
-                          windows[i].window.startInst);
+            warmStep(emus.cores, warm, windows[i].window.startInst);
             std::vector<EmuCheckpoint> snaps;
             snaps.reserve(cores);
-            for (const auto &emu : emus)
+            for (const Emulator *emu : emus.cores)
                 snaps.push_back(emu->checkpoint());
-            prep.checkpoints[gi][i] = store.storeMulti(
-                w, windows[i].window.startInst, std::move(snaps),
-                warm);
+            prep.checkpoints[gi][i] = store.store(
+                w, windows[i].window.startInst, std::move(snaps), warm);
         }
-        std::uint64_t aggregate = 0;
-        for (const auto &emu : emus)
-            aggregate += emu->instCount();
-        phase.setInsts(aggregate);
+        phase.setInsts(emus.instCount());
     }
 }
 

@@ -32,10 +32,10 @@ warmConfigDigest(const MemHierarchy::Params &mem_params,
                  unsigned num_cores)
 {
     Fnv64 h;
-    // v5: multi-core warm state spans the coherence directory and
-    // per-core L1/bpred slices (SysWarmState), so the digest tag
-    // bumps with the checkpoint warm-half layout.
-    h.update("reno-warmcfg-v5");
+    // v6: every core count shares one warm-half layout (the MESI
+    // directory, the shared stack and per-core L1/bpred slices), so
+    // the tag bumps with the checkpoint format and v5 files miss.
+    h.update("reno-warmcfg-v6");
     h.update(std::uint64_t{num_cores});
     digestCacheParams(h, mem_params.icache);
     digestCacheParams(h, mem_params.dcache);
@@ -78,30 +78,15 @@ warmConfigDigest(const CoreParams &params)
 }
 
 WarmState::WarmState(const MemHierarchy::Params &mem_params,
-                     const BranchPredParams &bp_params)
-    : mem(mem_params), bp(bp_params), memParams_(mem_params),
-      bpParams_(bp_params)
-{
-}
-
-WarmState::WarmState(const WarmState &other)
-    : mem(other.memParams_), bp(other.bp),
-      lastFetchBlock(other.lastFetchBlock),
-      memParams_(other.memParams_), bpParams_(other.bpParams_)
-{
-    mem.copyStateFrom(other.mem);
-}
-
-SysWarmState::SysWarmState(const MemHierarchy::Params &mem_params,
-                           const BranchPredParams &bp_params,
-                           unsigned num_cores)
+                     const BranchPredParams &bp_params,
+                     unsigned num_cores)
     : memParams_(mem_params), bpParams_(bp_params),
       numCores_(num_cores)
 {
     build();
 }
 
-SysWarmState::SysWarmState(const SysWarmState &other)
+WarmState::WarmState(const WarmState &other)
     : memParams_(other.memParams_), bpParams_(other.bpParams_),
       numCores_(other.numCores_)
 {
@@ -109,7 +94,7 @@ SysWarmState::SysWarmState(const SysWarmState &other)
     for (std::size_t i = 0; i < shared_.size(); ++i)
         shared_[i]->copyStateFrom(*other.shared_[i]);
     if (!bus_->importState(other.bus_->exportState()))
-        fatal("SysWarmState clone: bus state does not round-trip");
+        fatal("WarmState clone: bus state does not round-trip");
     for (unsigned i = 0; i < numCores_; ++i) {
         coreMem_[i]->copyStateFrom(*other.coreMem_[i]);
         coreBps_[i] = other.coreBps_[i];
@@ -118,10 +103,10 @@ SysWarmState::SysWarmState(const SysWarmState &other)
 }
 
 void
-SysWarmState::build()
+WarmState::build()
 {
     if (numCores_ < 1)
-        fatal("SysWarmState: core count must be positive");
+        fatal("WarmState: core count must be positive");
 
     // The shared stack and memory, assembled exactly as the System
     // assembles its own (sys/system.cpp): back to front, write-back
@@ -171,11 +156,11 @@ SysWarmState::build()
 }
 
 void
-warmStepMulti(const std::vector<Emulator *> &emus, SysWarmState &warm,
-              std::uint64_t aggregate_bound)
+warmStep(const std::vector<Emulator *> &emus, WarmState &warm,
+         std::uint64_t aggregate_bound)
 {
     if (emus.size() != warm.numCores())
-        fatal("warmStepMulti: %u-core warm state given %zu emulators",
+        fatal("warmStep: %u-core warm state given %zu emulators",
               warm.numCores(), emus.size());
 
     const Addr iblock_bytes = warm.memParams().icache.blockBytes;
@@ -224,30 +209,7 @@ warmStepMulti(const std::vector<Emulator *> &emus, SysWarmState &warm,
 void
 warmStep(Emulator &emu, WarmState &warm, std::uint64_t inst_bound)
 {
-    // Warming must observe every access, so this is per-step by
-    // nature; step() still rides the emulator's decoded-block cursor
-    // (one table walk per block, not per instruction). The pure
-    // fast-forward to a window start -- no warming -- goes through
-    // Emulator::runUntil and the full superblock engine.
-    const Addr iblock_bytes = warm.memParams().icache.blockBytes;
-    while (!emu.done() && emu.instCount() < inst_bound) {
-        const Addr pc = emu.state().pc;
-        const ExecRecord rec = emu.step();
-        const Addr block = pc / iblock_bytes;
-        if (block != warm.lastFetchBlock) {
-            warm.mem.fetchAccess(pc, 0);
-            warm.lastFetchBlock = block;
-        }
-        const InstClass cls = rec.inst.info().cls;
-        if (cls == InstClass::Load) {
-            warm.mem.dataAccess(rec.effAddr, 0, false);
-        } else if (cls == InstClass::Store) {
-            warm.mem.dataAccess(rec.effAddr, 0, true);
-        } else if (isControl(rec.inst.op)) {
-            warm.bp.predict(pc, rec.inst);
-            warm.bp.update(pc, rec.inst, rec.taken, rec.npc);
-        }
-    }
+    warmStep(std::vector<Emulator *>{&emu}, warm, inst_bound);
 }
 
 } // namespace reno::sample

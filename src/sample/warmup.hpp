@@ -13,8 +13,8 @@
  * tables (tag fills are eager and cycle-independent; transient timing
  * state -- MSHRs, the memory bus -- is settled before measurement).
  * Warm state depends only on the memory-hierarchy and predictor
- * parameters, never on the RENO configuration, so one warming pass
- * serves every configuration of a sweep.
+ * parameters and the core count, never on the RENO configuration, so
+ * one warming pass serves every configuration of a sweep.
  *
  * Warming consumes the emulator one step() at a time (it must see
  * every access); the decoded-superblock engine still accelerates it
@@ -37,72 +37,38 @@ namespace reno::sample
 {
 
 /** Digest of the parameters warm state depends on (mem + bpred +
- *  core count: a multi-core System shapes shared-level contents, so
- *  its warm state never aliases a single-core one). */
+ *  core count: the core count shapes the shared-level contents and
+ *  the per-core slices, so warm states of different core counts
+ *  never alias). */
 std::uint64_t warmConfigDigest(const MemHierarchy::Params &mem_params,
                                const BranchPredParams &bp_params,
                                unsigned num_cores = 1);
 std::uint64_t warmConfigDigest(const CoreParams &params);
 
-/** Functionally warmed microarchitectural state. */
-class WarmState
-{
-  public:
-    WarmState(const MemHierarchy::Params &mem_params,
-              const BranchPredParams &bp_params);
-
-    /** Clone (MemHierarchy itself is not copyable). */
-    WarmState(const WarmState &other);
-    WarmState &operator=(const WarmState &) = delete;
-
-    MemHierarchy mem;
-    BranchPredictor bp;
-    /** Last I$ block fed by warmStep (one access per block, matching
-     *  the core's fetch; part of the state so warming composes across
-     *  checkpoint boundaries). */
-    Addr lastFetchBlock = ~Addr{0};
-
-    const MemHierarchy::Params &memParams() const { return memParams_; }
-    const BranchPredParams &bpParams() const { return bpParams_; }
-
-  private:
-    MemHierarchy::Params memParams_;
-    BranchPredParams bpParams_;
-};
-
 /**
- * Step @p emu until at least @p inst_bound instructions have executed
- * (or the program exits), feeding the fetch, branch and data streams
- * into @p warm. All accesses are fed at cycle 0: tag fills are eager,
- * so the warmed tables are independent of timing.
- */
-void warmStep(Emulator &emu, WarmState &warm,
-              std::uint64_t inst_bound);
-
-/**
- * Functionally warmed state of an N-core System: per-core private
- * L1s and branch predictors over one shared L2/L3 stack, with a
- * warming-mode CoherenceBus keeping the MESI directory and the L1
- * tag arrays in lockstep. The shared stack is assembled with exactly
- * the System's logic, and the per-core hierarchies attach to it the
- * way the System's cores do -- so injecting this state into a System
- * of the same geometry is a level-by-level copy.
+ * Functionally warmed state of an N-core System (N = 1 included):
+ * per-core private L1s and branch predictors over one shared L2/L3
+ * stack, with a warming-mode CoherenceBus keeping the MESI directory
+ * and the L1 tag arrays in lockstep. The shared stack is assembled
+ * with exactly the System's logic, and the per-core hierarchies
+ * attach to it the way the System's cores do -- so injecting this
+ * state into a System of the same geometry is a level-by-level copy.
  *
  * Warming is tag-pure: the bus's latency penalties are computed and
  * discarded (tag fills are eager and cycle-independent), so the warm
  * state depends only on the mem/bpred geometry and the core count,
  * never on the snoop latencies or the RENO configuration.
  */
-class SysWarmState
+class WarmState
 {
   public:
-    SysWarmState(const MemHierarchy::Params &mem_params,
-                 const BranchPredParams &bp_params,
-                 unsigned num_cores);
+    WarmState(const MemHierarchy::Params &mem_params,
+              const BranchPredParams &bp_params,
+              unsigned num_cores = 1);
 
     /** Deep clone (the hierarchy graph is not copyable). */
-    SysWarmState(const SysWarmState &other);
-    SysWarmState &operator=(const SysWarmState &) = delete;
+    WarmState(const WarmState &other);
+    WarmState &operator=(const WarmState &) = delete;
 
     unsigned numCores() const { return numCores_; }
 
@@ -116,7 +82,9 @@ class SysWarmState
     {
         return coreBps_[i];
     }
-    /** Last I$ block fed per core (see WarmState::lastFetchBlock). */
+    /** Last I$ block fed per core (one access per block, matching the
+     *  core's fetch; part of the state so warming composes across
+     *  checkpoint boundaries). */
     Addr &lastFetchBlock(unsigned i) { return lastFetchBlock_[i]; }
     Addr lastFetchBlock(unsigned i) const
     {
@@ -153,21 +121,25 @@ class SysWarmState
 };
 
 /**
- * Interleaved functional warming of an N-core System: step the
- * emulators until their aggregate executed-instruction count reaches
- * @p aggregate_bound (or every program exits), feeding each core's
- * fetch/branch/data streams into its slice of @p warm through the
- * shared stack and the warming bus.
+ * Functional warming: step the emulators (one per core of @p warm,
+ * core order) until their aggregate executed-instruction count
+ * reaches @p aggregate_bound (or every program exits), feeding each
+ * core's fetch/branch/data streams into its slice of @p warm through
+ * the shared stack and the warming bus. All accesses are fed at
+ * cycle 0: tag fills are eager, so the warmed tables are independent
+ * of timing.
  *
  * The interleave rule is stateless -- always step the live emulator
  * with the fewest executed instructions, ties to the lowest core id
  * -- which produces the canonical one-instruction round-robin in
  * core order and, crucially, resumes bit-exactly from a chop at ANY
- * aggregate bound: warming composes across checkpoint boundaries
- * exactly like the single-core warmStep.
+ * aggregate bound: warming composes across checkpoint boundaries.
  */
-void warmStepMulti(const std::vector<Emulator *> &emus,
-                   SysWarmState &warm,
-                   std::uint64_t aggregate_bound);
+void warmStep(const std::vector<Emulator *> &emus, WarmState &warm,
+              std::uint64_t aggregate_bound);
+
+/** One-core warmStep: @p emu is core 0 of a one-core @p warm. */
+void warmStep(Emulator &emu, WarmState &warm,
+              std::uint64_t inst_bound);
 
 } // namespace reno::sample

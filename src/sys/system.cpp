@@ -35,8 +35,8 @@ System::System(const CoreParams &params,
         fatal("system: %u cores need %u emulators (got %zu)", n, n,
               emus.size());
 
-    // The shared stack and memory, assembled exactly as the
-    // single-core hierarchy assembles its own (mem/hierarchy.cpp):
+    // The shared stack and memory, assembled exactly as an owning
+    // hierarchy assembles its own (mem/hierarchy.cpp):
     // back to front, write-back modeling propagated, the memory bus
     // moving one block of the deepest level per transfer.
     std::vector<CacheParams> stack;

@@ -19,9 +19,11 @@
  * A finished core freezes (its coreCycles slot records its own
  * completion time); the system runs until every core has exited.
  *
- * A 1-core System is cycle-identical to a bare Core by construction:
- * the bus's single-core paths all charge zero penalty, and the shared
- * stack is assembled with exactly the single-core hierarchy's logic.
+ * Every detailed run goes through a System, one core included. A
+ * 1-core System is cycle-identical to a bare Core that owns its whole
+ * hierarchy, by construction: a one-core bus keeps no directory and
+ * charges no penalty, and the shared stack is assembled with exactly
+ * the owning hierarchy's logic (mem/hierarchy.cpp).
  */
 #pragma once
 

@@ -115,8 +115,8 @@ Core::sampleStatsCounter()
     for (const auto &[name, value] : statSet_.dump())
         args.add(name.c_str(), value);
     // The set's name gives each core of a System its own trace lane
-    // ("core0.stats", "core1.stats", ...); single-core runs keep the
-    // historical "core.stats" lane.
+    // ("core0.stats", "core1.stats", ...); a standalone Core reports
+    // on "core.stats".
     obs::Tracer::instance().counter(statSet_.name() + ".stats",
                                     args.str());
 }

@@ -55,8 +55,9 @@ class Core
 {
   public:
     /**
-     * @param attach  null for the single-core machine (the core owns
-     *                its whole hierarchy); non-null inside a System,
+     * @param attach  null for a standalone core that owns its whole
+     *                hierarchy (unit tests, tools); non-null inside a
+     *                System (every harness run, one core included),
      *                where the core builds only its private L1s and
      *                bpred stack over the System's shared hierarchy
      *                and coherence bus.

@@ -3,7 +3,7 @@
  * Multi-core coherence tests: the MESI state lattice on the snooping
  * bus (every legal transition plus the invalidation/intervention/
  * upgrade counters), false-sharing ping-pong detection on the "multi"
- * suite, 1-core System identity with the single-core path, config
+ * suite, 1-core System identity with a bare Core, config
  * variant parsing (/2c, /4c), and checkpoint round-trips across core
  * counts.
  */
@@ -247,28 +247,31 @@ TEST(MultiSuite, RegisteredAndListed)
 
 TEST(System, OneCoreMatchesSingleCorePathExactly)
 {
-    // The acceptance bar for the whole subsystem: an N=1 System is
-    // byte-identical to the historical single-core path -- same
-    // cycles, same counters, same program output, same memory digest.
+    // The acceptance bar for the one execution path: runWorkload on a
+    // one-core System is byte-identical to a bare Core that owns its
+    // whole hierarchy -- same cycles, same counters, same program
+    // output, same memory digest.
     const Workload w =
         testWorkload("t.lock1", multiLockSource(1500));
-    CoreParams params = CoreParams::fourWide();
-    const RunOutput single = runWorkload(w, params);
+    const CoreParams params = CoreParams::fourWide();
+    Emulator::Options opts;
+    opts.randSeed = w.seed;
+    Emulator emu(assembleWorkload(w), opts);
+    Core core(params, emu);
+    const SimResult bare = core.run();
 
-    params.sys.numCores = 1;
-    const RunOutput sys = runWorkloadMulti(w, params);
-    EXPECT_EQ(sys.sim.cycles, single.sim.cycles);
-    EXPECT_EQ(sys.sim.retired, single.sim.retired);
-    EXPECT_EQ(sys.output, single.output);
-    EXPECT_EQ(sys.memDigest, single.memDigest);
-    EXPECT_EQ(sys.emuInsts, single.emuInsts);
+    const RunOutput sys = runWorkload(w, params);
+    EXPECT_EQ(sys.sim.cycles, bare.cycles);
+    EXPECT_EQ(sys.sim.retired, bare.retired);
+    EXPECT_EQ(sys.output, emu.output());
+    EXPECT_EQ(sys.memDigest, emu.memory().digest());
+    EXPECT_EQ(sys.emuInsts, emu.instCount());
     EXPECT_EQ(sys.sim.cohInvalidations, 0u);
     EXPECT_EQ(sys.sim.cohInterventions, 0u);
-    // The registry rows must agree too (per-core slots aside: the
-    // System reports core 0 in slot c0, exactly like a bare Core).
+    // The registry rows must agree too (the System reports core 0 in
+    // slot c0, exactly like a bare Core).
     for (const SimStatField &field : simResultFields())
-        EXPECT_EQ(statValue(sys.sim, field),
-                  statValue(single.sim, field))
+        EXPECT_EQ(statValue(sys.sim, field), statValue(bare, field))
             << field.name;
 }
 
@@ -357,43 +360,19 @@ TEST(Checkpoint, RoundTripsAcrossCoreCounts)
 {
     const Workload w =
         testWorkload("t.ckpt", multiLockSource(4000));
-    const Program &prog = assembleWorkload(w);
     const CoreParams params = CoreParams::fourWide();
 
     for (const unsigned cores : {1u, 2u, 4u}) {
         // Warm through the real interleaved engine so the encoded
         // state (L1s, shared stack, MESI directory) is non-trivial.
-        std::vector<std::unique_ptr<Emulator>> emus;
-        std::vector<Emulator *> emu_ptrs;
-        for (unsigned i = 0; i < cores; ++i) {
-            Emulator::Options opts;
-            opts.randSeed = w.seed + i;
-            opts.coreId = i;
-            emus.push_back(std::make_unique<Emulator>(prog, opts));
-            emu_ptrs.push_back(emus.back().get());
-        }
-
+        const EmulatorSet emus = makeEmulators(w, cores);
+        sample::WarmState warm(params.mem, params.bpred, cores);
+        warmStep(emus.cores, warm, 500 * cores);
         sample::SampleCheckpoint ckpt;
-        if (cores == 1) {
-            sample::WarmState warm(params.mem, params.bpred);
-            warmStep(*emus[0], warm, 500);
-            ckpt.emu = std::make_shared<const EmuCheckpoint>(
-                emus[0]->checkpoint());
-            ckpt.warm =
-                std::make_shared<const sample::WarmState>(warm);
-        } else {
-            sample::SysWarmState warm(params.mem, params.bpred,
-                                      cores);
-            warmStepMulti(emu_ptrs, warm, 500 * cores);
-            ckpt.emu = std::make_shared<const EmuCheckpoint>(
-                emus[0]->checkpoint());
-            for (unsigned i = 1; i < cores; ++i)
-                ckpt.extraEmus.push_back(
-                    std::make_shared<const EmuCheckpoint>(
-                        emus[i]->checkpoint()));
-            ckpt.sysWarm =
-                std::make_shared<const sample::SysWarmState>(warm);
-        }
+        for (const Emulator *emu : emus.cores)
+            ckpt.emus.push_back(
+                std::make_shared<const EmuCheckpoint>(emu->checkpoint()));
+        ckpt.warm = std::make_shared<const sample::WarmState>(warm);
         ASSERT_TRUE(ckpt.usable());
         ASSERT_EQ(ckpt.numCores(), cores);
 
@@ -405,10 +384,8 @@ TEST(Checkpoint, RoundTripsAcrossCoreCounts)
             << cores << " cores";
         ASSERT_TRUE(back.usable());
         EXPECT_EQ(back.numCores(), cores);
-        EXPECT_EQ(back.emu->instCount, ckpt.emu->instCount);
-        for (unsigned i = 1; i < cores; ++i)
-            EXPECT_EQ(back.extraEmus[i - 1]->instCount,
-                      ckpt.extraEmus[i - 1]->instCount);
+        for (unsigned i = 0; i < cores; ++i)
+            EXPECT_EQ(back.emus[i]->instCount, ckpt.emus[i]->instCount);
 
         // Bit-exact round trip: re-encoding the decoded state (MESI
         // directory, cache tags, predictors and all) reproduces the
@@ -444,11 +421,11 @@ TEST(Checkpoint, StoreKeysSeparateCoreCounts)
     Emulator emu1(prog, opts);
     emu1.runUntil(300);
 
-    sample::SysWarmState warm(params.mem, params.bpred, 2);
+    sample::WarmState warm(params.mem, params.bpred, 2);
     std::vector<EmuCheckpoint> snaps;
     snaps.push_back(emu0.checkpoint());
     snaps.push_back(emu1.checkpoint());
-    store.storeMulti(w, 300, std::move(snaps), warm);
+    store.store(w, 300, std::move(snaps), warm);
 
     EXPECT_TRUE(store
                     .lookup(w, 300, params.mem, params.bpred,

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the common utilities: formatting, tables, RNG, bit
- * helpers and the statistics registry.
+ * Tests for the common utilities: formatting, tables, RNG and bit
+ * helpers.
  */
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
 
@@ -90,37 +89,6 @@ TEST(Rng, ChanceExtremes)
         EXPECT_FALSE(rng.chance(0));
         EXPECT_TRUE(rng.chance(100));
     }
-}
-
-TEST(StatGroup, RegistersAndDumps)
-{
-    StatGroup group("test");
-    Counter &a = group.add("alpha");
-    Counter &b = group.add("beta");
-    ++a;
-    b += 10;
-    EXPECT_EQ(group.get("alpha"), 1u);
-    EXPECT_EQ(group.get("beta"), 10u);
-    EXPECT_EQ(group.get("missing"), 0u);
-
-    const auto dump = group.dump();
-    ASSERT_EQ(dump.size(), 2u);
-    EXPECT_EQ(dump[0].first, "alpha");
-    EXPECT_EQ(dump[1].second, 10u);
-
-    group.resetAll();
-    EXPECT_EQ(group.get("beta"), 0u);
-}
-
-TEST(StatGroup, DuplicateAddReturnsSameCounter)
-{
-    StatGroup group("test");
-    Counter &a1 = group.add("x");
-    Counter &a2 = group.add("x");
-    ++a1;
-    ++a2;
-    EXPECT_EQ(group.get("x"), 2u);
-    EXPECT_EQ(group.dump().size(), 1u);
 }
 
 TEST(TextTable, AlignsColumns)

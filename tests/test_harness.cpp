@@ -5,9 +5,26 @@
  */
 #include <gtest/gtest.h>
 
+#include "common/digest.hpp"
 #include "harness/experiment.hpp"
+#include "sample/sampler.hpp"
 
 using namespace reno;
+
+namespace
+{
+
+/** Digest of every SimResult registry field, name and value. */
+void
+registryDigest(Fnv64 &h, const SimResult &r)
+{
+    for (const SimStatField &f : simResultFields()) {
+        h.update(f.name);
+        h.update(statValue(r, f));
+    }
+}
+
+} // namespace
 
 TEST(Harness, RenoBuildupNamesAndFlags)
 {
@@ -209,4 +226,56 @@ TEST(Harness, BpredVariantsRunEndToEnd)
     EXPECT_GT(run.sim.bpRasMispredicts, 0u)
         << "overflow corruption must surface as RAS mispredicts";
     EXPECT_GT(run.sim.bpTageProviderHits, 0u);
+}
+
+// ---- one-core result pins -------------------------------------------
+//
+// The constants below were recorded with the single-core engines that
+// predate routing every core count through System and one WarmState;
+// any drift in a one-core result, detailed or sampled, changes them.
+
+TEST(OneCorePins, RunWorkloadRegistryDigest)
+{
+    Fnv64 h;
+    for (const char *name :
+         {"gzip", "mcf", "jpeg.enc", "mem.stream.32k"}) {
+        for (const char *config : {"BASE", "RENO"}) {
+            NamedConfig cfg;
+            ASSERT_TRUE(
+                configByName(config, CoreParams::fourWide(), &cfg));
+            const RunOutput run =
+                runWorkload(workloadByName(name), cfg.params);
+            registryDigest(h, run.sim);
+            h.update(run.output);
+            h.update(run.memDigest);
+            h.update(run.emuInsts);
+        }
+    }
+    EXPECT_EQ(h.value(), 0x198ab377916c3f84ULL) << std::hex << h.value();
+}
+
+TEST(OneCorePins, SampledEstimateDigest)
+{
+    std::vector<NamedConfig> configs(2);
+    ASSERT_TRUE(
+        configByName("BASE", CoreParams::fourWide(), &configs[0]));
+    ASSERT_TRUE(
+        configByName("RENO", CoreParams::fourWide(), &configs[1]));
+    sample::SampleOptions options;
+    options.campaign.jobs = 1;
+    options.plan.intervals = 6;
+    options.plan.warmupInsts = 1000;
+    options.plan.measureInsts = 3000;
+    options.plan.coldInsts = 20'000;
+    const sample::SampledCampaign campaign = sample::runSampledCampaign(
+        {&workloadByName("gzip"), &workloadByName("mem.stride.512k")},
+        configs, options);
+    ASSERT_EQ(campaign.runs.size(), 4u);
+    Fnv64 h;
+    for (const sample::SampledRun &run : campaign.runs) {
+        h.update(run.est.estCycles);
+        h.update(std::uint64_t{run.est.measuredIntervals});
+        registryDigest(h, run.est.sum);
+    }
+    EXPECT_EQ(h.value(), 0xa2cc76c799740493ULL) << std::hex << h.value();
 }

@@ -255,8 +255,8 @@ TEST(Checkpointing, EncodeDecodeRoundTrip)
     SampleCheckpoint decoded;
     ASSERT_TRUE(CheckpointStore::decode(text, params.mem,
                                         params.bpred, &decoded));
-    EXPECT_EQ(checkpointDigest(*decoded.emu),
-              checkpointDigest(*ckpt.emu));
+    EXPECT_EQ(checkpointDigest(*decoded.emus[0]),
+              checkpointDigest(*ckpt.emus[0]));
     EXPECT_EQ(CheckpointStore::encode(decoded), text)
         << "decode followed by encode must be the identity";
 
@@ -290,7 +290,7 @@ TEST(Checkpointing, DiskPersistenceRoundTrip)
         WarmState warm(params.mem, params.bpred);
         warmStep(emu, warm, 30'000);
         digest = checkpointDigest(
-            *store.store(w, 30'000, emu.checkpoint(), warm).emu);
+            *store.store(w, 30'000, emu.checkpoint(), warm).emus[0]);
 
         FuncProfile profile{123456, 42};
         store.storeProfile(profileKey(w), profile);
@@ -301,8 +301,8 @@ TEST(Checkpointing, DiskPersistenceRoundTrip)
     const SampleCheckpoint loaded =
         fresh.lookup(w, 30'000, params.mem, params.bpred);
     ASSERT_TRUE(loaded.usable());
-    EXPECT_EQ(checkpointDigest(*loaded.emu), digest);
-    EXPECT_EQ(loaded.emu->instCount, 30'000u);
+    EXPECT_EQ(checkpointDigest(*loaded.emus[0]), digest);
+    EXPECT_EQ(loaded.emus[0]->instCount, 30'000u);
 
     FuncProfile profile;
     ASSERT_TRUE(fresh.lookupProfile(profileKey(w), &profile));
@@ -350,7 +350,7 @@ TEST(SampledJob, DigestCoversWindowButNotCheckpoint)
 
     // The checkpoint is an accelerator, not an input.
     sweep::Job with_ckpt = job;
-    with_ckpt.checkpoint.emu = std::make_shared<EmuCheckpoint>();
+    with_ckpt.checkpoint.emus = {std::make_shared<EmuCheckpoint>()};
     EXPECT_EQ(sweep::jobDigest(with_ckpt), sampled_digest);
 }
 
@@ -466,12 +466,12 @@ TEST(Warming, ChoppedWarmingComposesExactly)
     warmStep(chopped, resumed, 200'000);
 
     EXPECT_EQ(CheckpointStore::encode(
-                  {std::make_shared<EmuCheckpoint>(
-                       straight.checkpoint()),
+                  {{std::make_shared<EmuCheckpoint>(
+                       straight.checkpoint())},
                    std::make_shared<WarmState>(whole)}),
               CheckpointStore::encode(
-                  {std::make_shared<EmuCheckpoint>(
-                       chopped.checkpoint()),
+                  {{std::make_shared<EmuCheckpoint>(
+                       chopped.checkpoint())},
                    std::make_shared<WarmState>(resumed)}));
 }
 
@@ -656,43 +656,16 @@ TEST(Warming, WarmConfigDigestTracksBpredVariants)
 namespace
 {
 
-/** N emulator streams the way the sampled campaign builds them:
- *  per-core seed offset and core id over one assembled program. */
-std::vector<std::unique_ptr<Emulator>>
-makeEmus(const Program &prog, const Workload &w, unsigned cores)
-{
-    std::vector<std::unique_ptr<Emulator>> emus;
-    for (unsigned c = 0; c < cores; ++c) {
-        Emulator::Options opts;
-        opts.randSeed = w.seed + c;
-        opts.coreId = c;
-        emus.push_back(std::make_unique<Emulator>(prog, opts));
-    }
-    return emus;
-}
-
-std::vector<Emulator *>
-rawPtrs(const std::vector<std::unique_ptr<Emulator>> &emus)
-{
-    std::vector<Emulator *> ptrs;
-    for (const auto &e : emus)
-        ptrs.push_back(e.get());
-    return ptrs;
-}
-
 /** Snapshot N warmed emulators + the system warm state into one
  *  checkpoint (the multi-core persistence unit). */
 SampleCheckpoint
-multiCkpt(const std::vector<std::unique_ptr<Emulator>> &emus,
-          const SysWarmState &warm)
+multiCkpt(const EmulatorSet &emus, const WarmState &warm)
 {
     SampleCheckpoint ckpt;
-    ckpt.emu =
-        std::make_shared<const EmuCheckpoint>(emus[0]->checkpoint());
-    for (std::size_t i = 1; i < emus.size(); ++i)
-        ckpt.extraEmus.push_back(std::make_shared<const EmuCheckpoint>(
-            emus[i]->checkpoint()));
-    ckpt.sysWarm = std::make_shared<const SysWarmState>(warm);
+    for (const Emulator *emu : emus.cores)
+        ckpt.emus.push_back(
+            std::make_shared<const EmuCheckpoint>(emu->checkpoint()));
+    ckpt.warm = std::make_shared<const WarmState>(warm);
     return ckpt;
 }
 
@@ -723,21 +696,20 @@ TEST(MultiWarming, ChopResumeThroughSerializationIsBitExact)
     // shared stack and the MESI directory all ride the encoding.
     const Workload &w = workloadByName("gzip");
     const CoreParams params = baseParams();
-    const Program &prog = assembleWorkload(w);
 
     for (const unsigned cores : {2u, 4u}) {
         const std::uint64_t final_bound = 900 * cores;
         const std::uint64_t chop = 350 * cores + 1;  // mid-interleave
 
-        auto straight = makeEmus(prog, w, cores);
-        SysWarmState whole(params.mem, params.bpred, cores);
-        warmStepMulti(rawPtrs(straight), whole, final_bound);
+        EmulatorSet straight = makeEmulators(w, cores);
+        WarmState whole(params.mem, params.bpred, cores);
+        warmStep(straight.cores, whole, final_bound);
         const std::string want =
             CheckpointStore::encode(multiCkpt(straight, whole));
 
-        auto chopped = makeEmus(prog, w, cores);
-        SysWarmState first(params.mem, params.bpred, cores);
-        warmStepMulti(rawPtrs(chopped), first, chop);
+        EmulatorSet chopped = makeEmulators(w, cores);
+        WarmState first(params.mem, params.bpred, cores);
+        warmStep(chopped.cores, first, chop);
         const std::string mid =
             CheckpointStore::encode(multiCkpt(chopped, first));
 
@@ -747,12 +719,11 @@ TEST(MultiWarming, ChopResumeThroughSerializationIsBitExact)
                                             cores))
             << cores << " cores";
 
-        auto resumed = makeEmus(prog, w, cores);
-        resumed[0]->restore(*decoded.emu);
-        for (unsigned c = 1; c < cores; ++c)
-            resumed[c]->restore(*decoded.extraEmus[c - 1]);
-        SysWarmState warm(*decoded.sysWarm);
-        warmStepMulti(rawPtrs(resumed), warm, final_bound);
+        EmulatorSet resumed = makeEmulators(w, cores);
+        for (unsigned c = 0; c < cores; ++c)
+            resumed.cores[c]->restore(*decoded.emus[c]);
+        WarmState warm(*decoded.warm);
+        warmStep(resumed.cores, warm, final_bound);
 
         EXPECT_EQ(CheckpointStore::encode(multiCkpt(resumed, warm)),
                   want)
@@ -778,14 +749,13 @@ TEST(MultiWarming, CheckpointAcceleratesMultiWithoutChangingResults)
 
     CheckpointStore store;
     {
-        const Program &prog = assembleWorkload(w);
-        auto emus = makeEmus(prog, w, 2);
-        SysWarmState warm(params.mem, params.bpred, 2);
-        warmStepMulti(rawPtrs(emus), warm, 30'000);
+        EmulatorSet emus = makeEmulators(w, 2);
+        WarmState warm(params.mem, params.bpred, 2);
+        warmStep(emus.cores, warm, 30'000);
         std::vector<EmuCheckpoint> snaps;
-        for (const auto &e : emus)
+        for (const Emulator *e : emus.cores)
             snaps.push_back(e->checkpoint());
-        store.storeMulti(w, 30'000, std::move(snaps), warm);
+        store.store(w, 30'000, std::move(snaps), warm);
     }
     const SampleCheckpoint ckpt =
         store.lookup(w, 30'000, params.mem, params.bpred, 2);
@@ -798,6 +768,39 @@ TEST(MultiWarming, CheckpointAcceleratesMultiWithoutChangingResults)
         EXPECT_EQ(statValue(via_ckpt, f), statValue(plain, f))
             << "window stat '" << f.name
             << "' changed under the checkpoint";
+    }
+}
+
+TEST(MultiWarming, CheckpointOfAnotherCoreCountIsIgnored)
+{
+    // A checkpoint snapshotting a different core count than the
+    // config runs is never restored: the interval warms from the
+    // program start and returns exactly the no-checkpoint result, in
+    // both directions (2-core checkpoint into a 1-core run, 1-core
+    // checkpoint into a 2-core run).
+    const Workload &w = workloadByName("adpcm.dec");
+    IntervalWindow win;
+    win.startInst = 40'000;
+    win.warmupInsts = 1000;
+    win.measureInsts = 4000;
+
+    for (const unsigned ckpt_cores : {2u, 1u}) {
+        CoreParams params = baseParams();
+        EmulatorSet emus = makeEmulators(w, ckpt_cores);
+        WarmState warm(params.mem, params.bpred, ckpt_cores);
+        warmStep(emus.cores, warm, 30'000);
+        const SampleCheckpoint ckpt = multiCkpt(emus, warm);
+        ASSERT_TRUE(ckpt.usable());
+
+        params.sys.numCores = ckpt_cores == 2 ? 1 : 2;
+        const SimResult plain = runIntervalDetailed(w, params, win);
+        const SimResult handed =
+            runIntervalDetailed(w, params, win, &ckpt);
+        for (const SimStatField &f : simResultFields()) {
+            EXPECT_EQ(statValue(handed, f), statValue(plain, f))
+                << ckpt_cores << "-core checkpoint: window stat '"
+                << f.name << "' changed";
+        }
     }
 }
 
@@ -862,13 +865,12 @@ TEST(CheckpointRejection, TruncatedFileDiesWithReason)
 {
     const Workload &w = workloadByName("epic");
     const CoreParams params = baseParams();
-    const Program &prog = assembleWorkload(w);
-    auto emus = makeEmus(prog, w, 1);
+    EmulatorSet emus = makeEmulators(w, 1);
     WarmState warm(params.mem, params.bpred);
-    warmStep(*emus[0], warm, 20'000);
+    warmStep(*emus.cores[0], warm, 20'000);
     CheckpointStore store;
     const std::string text = CheckpointStore::encode(
-        store.store(w, 20'000, emus[0]->checkpoint(), warm));
+        store.store(w, 20'000, emus.cores[0]->checkpoint(), warm));
 
     // Cut before any digest can be found: a truncated download/write.
     const std::string truncated = text.substr(0, 10);
@@ -884,17 +886,16 @@ TEST(CheckpointRejection, TruncatedFileDiesWithReason)
         CheckpointStore::decodeOrDie(bad_header, params.mem,
                                      params.bpred),
         "checkpoint decode failed: bad or truncated header "
-        "\\(expected 'reno-checkpoint v5'\\)");
+        "\\(expected 'reno-checkpoint v6'\\)");
 }
 
 TEST(CheckpointRejection, WrongCoreCountDiesWithBothCounts)
 {
     const Workload &w = workloadByName("epic");
     const CoreParams params = baseParams();
-    const Program &prog = assembleWorkload(w);
-    auto emus = makeEmus(prog, w, 2);
-    SysWarmState warm(params.mem, params.bpred, 2);
-    warmStepMulti(rawPtrs(emus), warm, 1000);
+    EmulatorSet emus = makeEmulators(w, 2);
+    WarmState warm(params.mem, params.bpred, 2);
+    warmStep(emus.cores, warm, 1000);
     const std::string text =
         CheckpointStore::encode(multiCkpt(emus, warm));
 
@@ -912,10 +913,9 @@ TEST(CheckpointRejection, CorruptPerCoreBlocksDieNamingTheCore)
 {
     const Workload &w = workloadByName("epic");
     const CoreParams params = baseParams();
-    const Program &prog = assembleWorkload(w);
-    auto emus = makeEmus(prog, w, 2);
-    SysWarmState warm(params.mem, params.bpred, 2);
-    warmStepMulti(rawPtrs(emus), warm, 1000);
+    EmulatorSet emus = makeEmulators(w, 2);
+    WarmState warm(params.mem, params.bpred, 2);
+    warmStep(emus.cores, warm, 1000);
     const std::string text =
         CheckpointStore::encode(multiCkpt(emus, warm));
 

@@ -324,30 +324,8 @@ main(int argc, char **argv)
         width == 6 ? CoreParams::sixWide() : CoreParams::fourWide();
     if (config_names.empty())
         config_names = {"BASE", "RENO"};
-    std::vector<NamedConfig> configs;
-    for (const std::string &name : config_names) {
-        NamedConfig cfg;
-        if (!configByName(name, base, &cfg)) {
-            std::string known;
-            for (const std::string &k : knownConfigNames())
-                known += " " + k;
-            fatal("unknown config '%s' (known:%s)", name.c_str(),
-                  known.c_str());
-        }
-        configs.push_back(cfg);
-    }
-    if (cores > 1) {
-        // Equivalent to a /Nc suffix on every selected config; the
-        // suffix keeps multi-core rows distinguishable in reports.
-        for (NamedConfig &cfg : configs) {
-            if (cfg.params.sys.numCores > 1)
-                fatal("--cores conflicts with config '%s' (already "
-                      "runs %u cores)",
-                      cfg.name.c_str(), cfg.params.sys.numCores);
-            cfg.params.sys.numCores = cores;
-            cfg.name += strprintf("/%uc", cores);
-        }
-    }
+    const std::vector<NamedConfig> configs =
+        configsByName(config_names, base, cores);
 
     const sweep::CampaignOptions opts =
         sweep::parseCampaignArgs(argc, argv);
