@@ -1,5 +1,6 @@
 #include "common/log.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -85,6 +86,26 @@ strprintf(const char *fmt, ...)
     std::string s = vstrprintf(fmt, args);
     va_end(args);
     return s;
+}
+
+std::uint64_t
+parseCount(const char *flag, const std::string &text, std::uint64_t min,
+           std::uint64_t max)
+{
+    std::uint64_t n = 0;
+    const char *first = text.data();
+    const char *last = first + text.size();
+    // from_chars on an unsigned type takes digits only: a '-', '+' or
+    // leading space is no match, and overflow is result_out_of_range.
+    const auto [end, ec] = std::from_chars(first, last, n);
+    if (ec == std::errc() && end == last && n >= min && n <= max)
+        return n;
+    if (max != std::numeric_limits<std::uint64_t>::max())
+        fatal("%s expects %llu..%llu, got '%s'", flag,
+              static_cast<unsigned long long>(min),
+              static_cast<unsigned long long>(max), text.c_str());
+    fatal("%s expects a %s integer, got '%s'", flag,
+          min == 0 ? "non-negative" : "positive", text.c_str());
 }
 
 std::FILE *

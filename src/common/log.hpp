@@ -15,7 +15,9 @@
 #pragma once
 
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 namespace reno
@@ -37,6 +39,17 @@ enum class LogLevel {
 /** Print a formatted message and exit(1); use for user errors. */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/**
+ * Parse @p text, the value of command-line flag @p flag, as a count:
+ * decimal digits only -- no sign, whitespace or trailing characters
+ * -- within [@p min, @p max]. fatal()s naming the flag on anything
+ * else, overflow included, so a negative count can never wrap.
+ */
+std::uint64_t
+parseCount(const char *flag, const std::string &text,
+           std::uint64_t min = 1,
+           std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /** Print a warning; simulation continues. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

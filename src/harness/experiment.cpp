@@ -358,6 +358,34 @@ configsByName(const std::vector<std::string> &names,
     return configs;
 }
 
+std::vector<const Workload *>
+selectWorkloads(const std::string &suite,
+                const std::vector<std::string> &names,
+                const std::string &glob, const std::string &filter)
+{
+    std::vector<const Workload *> workloads;
+    if (!glob.empty()) {
+        if (!names.empty())
+            fatal("--workloads and --workload are exclusive");
+        workloads = workloadsMatching(glob, suite);
+    } else if (!names.empty()) {
+        for (const std::string &name : names)
+            workloads.push_back(&workloadByName(name));
+    } else if (suite == "all") {
+        for (const Workload &w : allWorkloads())
+            workloads.push_back(&w);
+    } else {
+        workloads = suiteWorkloads(suite);
+    }
+    if (!filter.empty())
+        std::erase_if(workloads, [&](const Workload *w) {
+            return w->name.find(filter) == std::string::npos;
+        });
+    if (workloads.empty())
+        fatal("no workloads selected");
+    return workloads;
+}
+
 std::vector<std::string>
 knownConfigNames()
 {

@@ -80,6 +80,18 @@ std::vector<NamedConfig>
 configsByName(const std::vector<std::string> &names,
               const CoreParams &base, unsigned cores = 1);
 
+/**
+ * The drivers' workload set: every workload matching @p glob (from
+ * every suite; exclusive with @p names), else the named workloads,
+ * else @p suite ("all" = the paper suites); then only the names
+ * containing @p filter, when non-empty. fatal()s when nothing is
+ * selected.
+ */
+std::vector<const Workload *>
+selectWorkloads(const std::string &suite,
+                const std::vector<std::string> &names,
+                const std::string &glob, const std::string &filter);
+
 /** Names accepted by configByName(), in presentation order. */
 std::vector<std::string> knownConfigNames();
 

@@ -90,9 +90,10 @@ class Tracer
     void threadName(std::string name);
 
     /**
-     * Periodic StatSet counter sampling: when non-zero (and the
-     * tracer is enabled), Core::runUntilRetired emits every pipeline
-     * counter as a trace counter series every N simulated cycles.
+     * Periodic counter sampling: when non-zero (and the tracer is
+     * enabled), every core emits its SimResult registry fields as a
+     * trace counter series every N simulated cycles
+     * (Core::sampleStatsCounter).
      */
     std::uint64_t
     cycleSampleInterval() const

@@ -1,55 +1,40 @@
 /**
  * @file
- * The timing pipeline's own counters, registered once against a
- * StatSet so every statistic has a stable name (snapshot/delta
- * algebra, named-stat reports) while the stages increment plain
- * std::uint64_t references on the hot path.
+ * The timing pipeline's own counters: plain monotonic std::uint64_t
+ * fields the stages increment on the hot path.
  *
- * Component statistics (integration table, branch predictor, caches)
- * stay inside their components; Core::result() combines both into a
- * SimResult.
+ * They are named in exactly one place, the SimResult field registry
+ * (uarch/sim_result.hpp): Core::result() copies them, together with
+ * the component statistics that stay inside their components
+ * (integration table, branch predictor, caches), into a SimResult,
+ * and every report, cache entry, sampling-window delta and trace
+ * counter sample reads them from there.
  */
 #pragma once
 
 #include <cstdint>
 
-#include "common/statset.hpp"
 #include "reno/renamer.hpp"
 
 namespace reno
 {
 
 struct PipelineStats {
-    explicit PipelineStats(StatSet &set);
+    std::uint64_t retired = 0;
+    std::uint64_t retiredLoads = 0;
+    std::uint64_t retiredStores = 0;
+    std::uint64_t retiredBranches = 0;
 
-    std::uint64_t &retired;
-    std::uint64_t &retiredLoads;
-    std::uint64_t &retiredStores;
-    std::uint64_t &retiredBranches;
+    std::uint64_t violationSquashes = 0;
+    std::uint64_t misintegrationFlushes = 0;
 
-    std::uint64_t &violationSquashes;
-    std::uint64_t &misintegrationFlushes;
+    std::uint64_t stallRob = 0;
+    std::uint64_t stallIq = 0;
+    std::uint64_t stallPregs = 0;
+    std::uint64_t stallLsq = 0;
 
-    std::uint64_t &stallRob;
-    std::uint64_t &stallIq;
-    std::uint64_t &stallPregs;
-    std::uint64_t &stallLsq;
-
-    /** Retired instructions collapsed, by ElimKind. */
-    std::uint64_t &
-    retiredElim(ElimKind kind) const
-    {
-        return *retiredElim_[static_cast<unsigned>(kind)];
-    }
-
-    std::uint64_t &
-    retiredElim(unsigned kind) const
-    {
-        return *retiredElim_[kind];
-    }
-
-  private:
-    std::uint64_t *retiredElim_[NumElimKinds];
+    /** Retired instructions collapsed, by ElimKind index. */
+    std::uint64_t retiredElim[NumElimKinds] = {};
 };
 
 } // namespace reno

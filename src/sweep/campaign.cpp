@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <thread>
 
@@ -47,13 +48,9 @@ parseCampaignArgs(int argc, char **argv)
             return "";
         };
         if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
-            const std::string v = value("--jobs");
-            const long n = std::strtol(v.c_str(), nullptr, 10);
-            if (n >= 1)
-                opts.jobs = unsigned(n);
-            else
-                fatal("--jobs expects a positive integer, got '%s'",
-                      v.c_str());
+            opts.jobs = static_cast<unsigned>(
+                parseCount("--jobs", value("--jobs"), 1,
+                           std::numeric_limits<unsigned>::max()));
         } else if (arg == "--cache-dir" ||
                    arg.rfind("--cache-dir=", 0) == 0) {
             opts.cacheDir = value("--cache-dir");

@@ -14,8 +14,8 @@ Core::Core(const CoreParams &params, Emulator &emu,
       mem_(params.mem, attach), bp_(params.bpred),
       ssets_(params.ssitEntries, params.numStoreSets),
       state_(params_),
-      statSet_(attach ? strprintf("core%u", attach->coreId) : "core"),
-      stats_(statSet_),
+      statsLane_(attach ? strprintf("core%u.stats", attach->coreId)
+                        : "core.stats"),
       fetch_(params_, emu_, mem_, bp_, state_),
       rename_(params_, renamer_, ssets_, state_, stats_),
       issue_(params_, mem_, ssets_, renamer_, state_, stats_),
@@ -112,13 +112,10 @@ Core::sampleStatsCounter()
 {
     obs::TraceArgs args;
     args.add("cycle", static_cast<std::uint64_t>(state_.now));
-    for (const auto &[name, value] : statSet_.dump())
-        args.add(name.c_str(), value);
-    // The set's name gives each core of a System its own trace lane
-    // ("core0.stats", "core1.stats", ...); a standalone Core reports
-    // on "core.stats".
-    obs::Tracer::instance().counter(statSet_.name() + ".stats",
-                                    args.str());
+    const SimResult r = result();
+    for (const SimStatField &f : simResultFields())
+        args.add(f.name, statValue(r, f));
+    obs::Tracer::instance().counter(statsLane_, args.str());
 }
 
 SimResult
@@ -128,7 +125,7 @@ Core::result() const
     r.cycles = state_.now;
     r.retired = stats_.retired;
     for (unsigned k = 0; k < NumElimKinds; ++k)
-        r.elim[k] = stats_.retiredElim(k);
+        r.elim[k] = stats_.retiredElim[k];
     r.retiredLoads = stats_.retiredLoads;
     r.retiredStores = stats_.retiredStores;
     r.retiredBranches = stats_.retiredBranches;

@@ -19,17 +19,18 @@
  * Core itself is a thin facade: the machine state lives in
  * pipeline/machine_state.hpp, the four stage units in
  * src/pipeline/{fetch,rename,issue,commit}_stage.*, and the
- * pipeline's counters in a named StatSet (common/statset.hpp) exposed
- * through stats(). Core wires them together and drives one stage pass
- * per tick().
+ * pipeline's counters in PipelineStats (pipeline/pipeline_stats.hpp),
+ * published through result() under the SimResult field registry's
+ * names. Core wires them together and drives one stage pass per
+ * tick().
  */
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "bpred/predictor.hpp"
-#include "common/statset.hpp"
 #include "emu/emulator.hpp"
 #include "mem/hierarchy.hpp"
 #include "obs/cpistack.hpp"
@@ -99,9 +100,6 @@ class Core
     /** Current result snapshot (valid mid-run too). */
     SimResult result() const;
 
-    /** The pipeline's named stat registry (live counters). */
-    const StatSet &stats() const { return statSet_; }
-
     /** The explicit machine state (tests, visualization). */
     const MachineState &machineState() const { return state_; }
 
@@ -111,9 +109,10 @@ class Core
     /** Hotspot profiler (null unless enabled at construction). */
     const obs::HotspotProfile *hotspots() const { return hot_.get(); }
 
-    /** Emit every pipeline counter as one trace counter sample on
-     *  this core's lane ("core.stats", or "core<i>.stats" inside a
-     *  System). run()/runUntilRetired() call it on the --trace-sample
+    /** Emit result() as one trace counter sample, every
+     *  SimResultFields entry under its registry name, on this core's
+     *  lane ("core.stats", or "core<i>.stats" inside a System).
+     *  run()/runUntilRetired() call it on the --trace-sample
      *  interval; a System drives it directly from its own loop. */
     void sampleStatsCounter();
 
@@ -126,8 +125,9 @@ class Core
     StoreSets ssets_;
 
     MachineState state_;
-    StatSet statSet_;
     PipelineStats stats_;
+    /** Trace counter lane of sampleStatsCounter(). */
+    std::string statsLane_;
 
     /** CPI accounting, allocated only when CpiAccounting says so at
      *  construction -- a disabled run never touches these. */

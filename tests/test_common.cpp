@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the common utilities: formatting, tables, RNG and bit
- * helpers.
+ * Tests for the common utilities: formatting, strict count parsing,
+ * tables, RNG and bit helpers.
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +20,41 @@ TEST(StrPrintf, FormatsLikePrintf)
     EXPECT_EQ(strprintf("%s", "hello"), "hello");
     EXPECT_EQ(strprintf("%05x", 0xab), "000ab");
     EXPECT_EQ(strprintf(""), "");
+}
+
+TEST(ParseCount, AcceptsPlainDecimalCountsInRange)
+{
+    EXPECT_EQ(parseCount("--n", "1"), 1u);
+    EXPECT_EQ(parseCount("--n", "5000"), 5000u);
+    EXPECT_EQ(parseCount("--n", "007"), 7u);
+    EXPECT_EQ(parseCount("--n", "18446744073709551615"),
+              ~std::uint64_t{0});
+    EXPECT_EQ(parseCount("--n", "0", 0), 0u);
+    EXPECT_EQ(parseCount("--n", "8", 1, 8), 8u);
+}
+
+TEST(ParseCountDeath, RejectsSignJunkOverflowAndRangeNamingTheFlag)
+{
+    const auto dies = [](const char *text, const char *why) {
+        EXPECT_EXIT(parseCount("--measure", text),
+                    ::testing::ExitedWithCode(1),
+                    "--measure expects a positive integer")
+            << why;
+    };
+    dies("-1", "a sign must not wrap to 2^64-1");
+    dies("+1", "no sign at all");
+    dies(" 1", "no leading whitespace");
+    dies("100x", "no trailing characters");
+    dies("1.5", "no fraction");
+    dies("", "empty");
+    dies("0", "below the minimum");
+    dies("18446744073709551616", "overflow");
+    EXPECT_EXIT(parseCount("--warmup", "-1", 0),
+                ::testing::ExitedWithCode(1),
+                "--warmup expects a non-negative integer, got '-1'");
+    EXPECT_EXIT(parseCount("--cores", "9", 1, 8),
+                ::testing::ExitedWithCode(1),
+                "--cores expects 1..8, got '9'");
 }
 
 TEST(SignExtend, Basics)

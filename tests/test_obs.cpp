@@ -22,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/progress.hpp"
+#include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "sample/interval.hpp"
 #include "sweep/campaign.hpp"
@@ -248,15 +249,24 @@ TEST(Trace, FakeClockSpansNestAndTimestampsAreExact)
         EXPECT_EQ(e.tid, events[0].tid);
 }
 
-TEST(Trace, RealRunEmitsValidJsonWithBalancedNesting)
+namespace
+{
+
+/**
+ * Trace @p workload on @p params with --trace-sample 1000 and check
+ * the buffer: valid JSON, balanced per-thread B/E nesting,
+ * non-decreasing per-thread timestamps, and counter samples that each
+ * carry every SimResult registry field. Returns the counter-sample
+ * count per lane.
+ */
+std::map<std::string, std::size_t>
+checkTracedRun(const Workload &workload, const CoreParams &params)
 {
     TracerGuard guard;
     Tracer::instance().clear();
     Tracer::instance().setCycleSampleInterval(1000);
     Tracer::instance().start();
-
-    const CoreParams params = CoreParams::fourWide();
-    runWorkload(testWorkload(), params);
+    runWorkload(workload, params);
     Tracer::instance().stop();
 
     const std::string json = Tracer::instance().renderJson();
@@ -266,23 +276,32 @@ TEST(Trace, RealRunEmitsValidJsonWithBalancedNesting)
     // per-thread timestamps never decrease.
     std::map<std::uint32_t, std::vector<std::string>> stacks;
     std::map<std::uint32_t, std::uint64_t> last_ts;
-    std::size_t counters = 0;
+    std::map<std::string, std::size_t> counters;
     for (const TraceEvent &e : Tracer::instance().events()) {
         auto it = last_ts.find(e.tid);
-        if (it != last_ts.end())
+        if (it != last_ts.end()) {
             EXPECT_GE(e.ts, it->second);
+        }
         last_ts[e.tid] = e.ts;
         switch (e.ph) {
         case TraceEvent::Phase::Begin:
             stacks[e.tid].push_back(e.name);
             break;
         case TraceEvent::Phase::End:
-            ASSERT_FALSE(stacks[e.tid].empty());
-            EXPECT_EQ(stacks[e.tid].back(), e.name);
-            stacks[e.tid].pop_back();
+            EXPECT_FALSE(stacks[e.tid].empty());
+            if (!stacks[e.tid].empty()) {
+                EXPECT_EQ(stacks[e.tid].back(), e.name);
+                stacks[e.tid].pop_back();
+            }
             break;
         case TraceEvent::Phase::Counter:
-            ++counters;
+            ++counters[e.name];
+            // The sample is the registry: every field, by name.
+            for (const SimStatField &f : simResultFields())
+                EXPECT_NE(e.args.find("\"" + std::string(f.name) +
+                                      "\": "),
+                          std::string::npos)
+                    << e.name << " sample lacks " << f.name;
             break;
         default:
             break;
@@ -291,8 +310,46 @@ TEST(Trace, RealRunEmitsValidJsonWithBalancedNesting)
     for (const auto &[tid, stack] : stacks)
         EXPECT_TRUE(stack.empty()) << "unbalanced spans on tid "
                                    << tid;
-    // --trace-sample was on: the pipeline emitted counter series.
-    EXPECT_GT(counters, 0u);
+    return counters;
+}
+
+} // namespace
+
+TEST(Trace, RealRunEmitsValidJsonWithBalancedNesting)
+{
+    const auto counters =
+        checkTracedRun(testWorkload(), CoreParams::fourWide());
+    // --trace-sample was on: the pipeline emitted counter series on
+    // the one core's lane.
+    ASSERT_EQ(counters.size(), 1u);
+    EXPECT_EQ(counters.begin()->first, "core0.stats");
+    EXPECT_GT(counters.begin()->second, 0u);
+}
+
+TEST(Trace, TwoCoreRunSamplesEachCoreOnItsOwnLane)
+{
+    CoreParams params = CoreParams::fourWide();
+    params.sys.numCores = 2;
+    const auto counters =
+        checkTracedRun(workloadByName("multi.false"), params);
+    ASSERT_EQ(counters.size(), 2u);
+    EXPECT_GT(counters.at("core0.stats"), 0u);
+    EXPECT_GT(counters.at("core1.stats"), 0u);
+}
+
+TEST(ObsArgsDeath, MalformedCountsAreRejectedNamingTheFlag)
+{
+    const auto dies = [](std::vector<const char *> argv,
+                         const char *message) {
+        EXPECT_EXIT(parseObsArgs(static_cast<int>(argv.size()),
+                                 const_cast<char **>(argv.data())),
+                    ::testing::ExitedWithCode(1), message);
+    };
+    dies({"prog", "--trace-out", "t.json", "--trace-sample", "100x"},
+         "--trace-sample expects a positive integer, got '100x'");
+    dies({"prog", "--trace-out", "t.json", "--trace-sample=-1"},
+         "--trace-sample expects a positive integer, got '-1'");
+    dies({"prog", "--profile-hot=-5"}, "--profile-hot= expects 1");
 }
 
 TEST(Trace, SimResultsAreByteIdenticalWithTracingOnAndOff)

@@ -360,6 +360,17 @@ TEST(Sweep, ParseCampaignArgs)
     EXPECT_TRUE(opts.stats);
 }
 
+TEST(SweepDeath, ParseCampaignArgsRejectsMalformedJobCounts)
+{
+    for (const char *bad : {"4x", "-1", "0", " 4"}) {
+        const char *argv[] = {"prog", "--jobs", bad};
+        EXPECT_EXIT(parseCampaignArgs(3, const_cast<char **>(argv)),
+                    ::testing::ExitedWithCode(1),
+                    "--jobs expects 1\\.\\.[0-9]+, got")
+            << bad;
+    }
+}
+
 TEST(Sweep, Fnv64KnownVectorsAndSeparation)
 {
     // FNV-1a 64 of the empty input is the offset basis.

@@ -9,6 +9,7 @@
  * error (the CI accuracy gate).
  */
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -125,17 +126,6 @@ listEverything()
     std::fputs(renderConfigList().c_str(), stdout);
 }
 
-std::uint64_t
-parseCount(const char *flag, const std::string &v)
-{
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0' || n == 0)
-        fatal("%s expects a positive integer, got '%s'", flag,
-              v.c_str());
-    return n;
-}
-
 } // namespace
 
 int
@@ -210,23 +200,13 @@ main(int argc, char **argv)
                 fatal("--emu expects interp or decoded, got '%s'",
                       v.c_str());
         } else if (matches("--cores")) {
-            const std::string v = value("--cores");
-            char *end = nullptr;
-            const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0' || n == 0 ||
-                n > SysParams::MaxCores)
-                fatal("--cores expects 1..%u, got '%s'",
-                      SysParams::MaxCores, v.c_str());
-            cores = static_cast<unsigned>(n);
+            cores = static_cast<unsigned>(parseCount(
+                "--cores", value("--cores"), 1, SysParams::MaxCores));
         } else if (matches("--sample")) {
             plan.intervals = parseCount("--sample", value("--sample"));
         } else if (matches("--warmup")) {
-            const std::string v = value("--warmup");
-            char *end = nullptr;
-            plan.warmupInsts = std::strtoull(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0')
-                fatal("--warmup expects an integer, got '%s'",
-                      v.c_str());
+            plan.warmupInsts =
+                parseCount("--warmup", value("--warmup"), 0);
         } else if (matches("--measure")) {
             plan.measureInsts =
                 parseCount("--measure", value("--measure"));
@@ -238,8 +218,9 @@ main(int argc, char **argv)
             const std::string v = value("--max-error");
             char *end = nullptr;
             max_error = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' || max_error <= 0.0)
-                fatal("--max-error expects a positive number, got "
+            if (end == v.c_str() || *end != '\0' ||
+                !std::isfinite(max_error) || max_error <= 0.0)
+                fatal("--max-error expects a finite positive number, got "
                       "'%s'",
                       v.c_str());
         } else if (matches("--report")) {
@@ -274,31 +255,8 @@ main(int argc, char **argv)
     if (max_error > 0.0 && !validate)
         fatal("--max-error requires --validate");
 
-    // Workload set.
-    std::vector<const Workload *> workloads;
-    if (!workloads_glob.empty()) {
-        if (!workload_names.empty())
-            fatal("--workloads and --workload are exclusive");
-        workloads = workloadsMatching(workloads_glob, suite);
-    } else if (!workload_names.empty()) {
-        for (const std::string &name : workload_names)
-            workloads.push_back(&workloadByName(name));
-    } else if (suite == "all") {
-        for (const Workload &w : allWorkloads())
-            workloads.push_back(&w);
-    } else {
-        workloads = suiteWorkloads(suite);
-    }
-    if (!filter.empty()) {
-        std::vector<const Workload *> kept;
-        for (const Workload *w : workloads) {
-            if (w->name.find(filter) != std::string::npos)
-                kept.push_back(w);
-        }
-        workloads = kept;
-    }
-    if (workloads.empty())
-        fatal("no workloads selected");
+    const std::vector<const Workload *> workloads =
+        selectWorkloads(suite, workload_names, workloads_glob, filter);
 
     // Configuration set.
     const CoreParams base =
