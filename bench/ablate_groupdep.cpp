@@ -44,12 +44,12 @@ main(int argc, char **argv)
     };
 
     sweep::Campaign campaign;
-    for (const auto &[suite_name, workloads] : suites())
+    for (const auto &[suite_name, workloads] : benchmarkSuites())
         campaign.addCross(workloads, configs);
     const sweep::CampaignResults results =
-        campaign.run(options(argc, argv));
+        campaign.run(sweep::parseCampaignArgs(argc, argv));
 
-    for (const auto &[suite_name, workloads] : suites()) {
+    for (const auto &[suite_name, workloads] : benchmarkSuites()) {
         TextTable t;
         t.header({"benchmark", "4w elim%", "4w cancels/1k",
                   "6w elim%", "6w cancels/1k"});

@@ -33,7 +33,7 @@ main(int argc, char **argv)
     // One campaign for the whole sweep: per workload, one baseline
     // plus the 2-policy x 4-size cross-product.
     sweep::Campaign campaign;
-    for (const auto &[suite_name, workloads] : suites()) {
+    for (const auto &[suite_name, workloads] : benchmarkSuites()) {
         for (const Workload *w : workloads) {
             campaign.add(*w, {"BASE", CoreParams::fourWide()});
             for (const bool loads_only : {true, false}) {
@@ -49,9 +49,9 @@ main(int argc, char **argv)
         }
     }
     const sweep::CampaignResults results =
-        campaign.run(options(argc, argv));
+        campaign.run(sweep::parseCampaignArgs(argc, argv));
 
-    for (const auto &[suite_name, workloads] : suites()) {
+    for (const auto &[suite_name, workloads] : benchmarkSuites()) {
         TextTable t;
         t.header({"policy", "IT entries", "speedup%", "loads elim%",
                   "IT accesses/1k insts"});

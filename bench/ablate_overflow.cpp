@@ -32,12 +32,12 @@ main(int argc, char **argv)
     };
 
     sweep::Campaign campaign;
-    for (const auto &[suite_name, workloads] : suites())
+    for (const auto &[suite_name, workloads] : benchmarkSuites())
         campaign.addCross(workloads, configs);
     const sweep::CampaignResults results =
-        campaign.run(options(argc, argv));
+        campaign.run(sweep::parseCampaignArgs(argc, argv));
 
-    for (const auto &[suite_name, workloads] : suites()) {
+    for (const auto &[suite_name, workloads] : benchmarkSuites()) {
         TextTable t;
         t.header({"benchmark", "cons CF%", "exact CF%", "cons cancels",
                   "exact cancels", "cons speedup", "exact speedup"});

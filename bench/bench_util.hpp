@@ -6,7 +6,8 @@
  * content-addressed result cache), and formats the submission-ordered
  * results into the paper's tables.
  *
- * Every binary accepts the engine's standard flags:
+ * Every binary takes its workloads from benchmarkSuites() and parses
+ * the engine's standard flags with sweep::parseCampaignArgs():
  *   --jobs N        worker threads (default: RENO_JOBS or all cores)
  *   --cache-dir D   persist results; a warm cache skips simulation
  *   --sweep-stats   print an execution summary to stderr
@@ -15,7 +16,6 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "common/log.hpp"
 #include "common/table.hpp"
@@ -33,21 +33,6 @@ banner(const std::string &title, const std::string &paper_ref)
     std::printf("%s\n", title.c_str());
     std::printf("(reproduces %s)\n", paper_ref.c_str());
     std::printf("==================================================\n");
-}
-
-/** Workloads of a suite plus the suite label. */
-inline std::vector<std::pair<std::string,
-                             std::vector<const Workload *>>>
-suites()
-{
-    return benchmarkSuites();
-}
-
-/** Engine options from the binary's command line. */
-inline sweep::CampaignOptions
-options(int argc, char **argv)
-{
-    return sweep::parseCampaignArgs(argc, argv);
 }
 
 } // namespace reno::bench

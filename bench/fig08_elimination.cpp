@@ -26,16 +26,16 @@ main(int argc, char **argv)
                                      : CoreParams::fourWide();
         base.reno = RenoConfig::full();
         const std::string tag = strprintf("%uw", width);
-        for (const auto &[suite_name, workloads] : suites())
+        for (const auto &[suite_name, workloads] : benchmarkSuites())
             campaign.addCross(workloads, {{"RENO", base}}, tag);
     }
     const sweep::CampaignResults results =
-        campaign.run(options(argc, argv));
+        campaign.run(sweep::parseCampaignArgs(argc, argv));
 
     for (const unsigned width : {4u, 6u}) {
         const std::string tag = strprintf("%uw", width);
         std::printf("\n--- %u-wide machine ---\n", width);
-        for (const auto &[suite_name, workloads] : suites()) {
+        for (const auto &[suite_name, workloads] : benchmarkSuites()) {
             TextTable t;
             t.header({"benchmark", "ME%", "CF%", "CSE+RA%", "total%"});
             std::vector<double> me, cf, csera, total;

@@ -27,11 +27,11 @@ main(int argc, char **argv)
         const CoreParams machine = width == 6 ? CoreParams::sixWide()
                                               : CoreParams::fourWide();
         const std::string tag = strprintf("%uw", width);
-        for (const auto &[suite_name, workloads] : suites())
+        for (const auto &[suite_name, workloads] : benchmarkSuites())
             campaign.addCross(workloads, renoBuildup(machine), tag);
     }
     const sweep::CampaignResults results =
-        campaign.run(options(argc, argv));
+        campaign.run(sweep::parseCampaignArgs(argc, argv));
 
     for (const unsigned width : {4u, 6u}) {
         const CoreParams machine = width == 6 ? CoreParams::sixWide()
@@ -39,7 +39,7 @@ main(int argc, char **argv)
         const auto configs = renoBuildup(machine);
         const std::string tag = strprintf("%uw", width);
         std::printf("\n--- %u-wide machine ---\n", width);
-        for (const auto &[suite_name, workloads] : suites()) {
+        for (const auto &[suite_name, workloads] : benchmarkSuites()) {
             TextTable t;
             t.header({"benchmark", "ME", "ME+CF", "RENO"});
             std::vector<double> mean[3];

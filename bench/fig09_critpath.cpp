@@ -82,7 +82,7 @@ main(int argc, char **argv)
     declareSelection(campaign, spec_sel);
     declareSelection(campaign, media_sel);
     const sweep::CampaignResults results =
-        campaign.run(options(argc, argv));
+        campaign.run(sweep::parseCampaignArgs(argc, argv));
 
     std::printf("\nSPECint-like selection:\n");
     printSelection(results, spec_sel);

@@ -33,16 +33,16 @@ main(int argc, char **argv)
                                         RenoConfig::baseline())};
 
     sweep::Campaign campaign;
-    for (const auto &[suite_name, workloads] : suites()) {
+    for (const auto &[suite_name, workloads] : benchmarkSuites()) {
         campaign.addCross(workloads, {baseline});
         campaign.addCross(workloads, configs);
     }
     const sweep::CampaignResults results =
-        campaign.run(options(argc, argv));
+        campaign.run(sweep::parseCampaignArgs(argc, argv));
 
     std::uint64_t it_accesses_reno = 0, it_accesses_fullit = 0;
 
-    for (const auto &[suite_name, workloads] : suites()) {
+    for (const auto &[suite_name, workloads] : benchmarkSuites()) {
         TextTable t;
         t.header({"benchmark", "RENO", "RENO+FullInteg", "FullInteg",
                   "LoadsInteg"});

@@ -30,7 +30,7 @@ main(int argc, char **argv)
     // config x size cross-product, as one deduplicated campaign: the
     // 160-preg BASE jobs are content-identical to the reference.
     sweep::Campaign campaign;
-    for (const auto &[suite_name, workloads] : suites()) {
+    for (const auto &[suite_name, workloads] : benchmarkSuites()) {
         for (const Workload *w : workloads) {
             campaign.add(*w, {"ref", CoreParams{}});
             for (const auto &[cfg_name, reno_cfg] : configs) {
@@ -45,9 +45,9 @@ main(int argc, char **argv)
         }
     }
     const sweep::CampaignResults results =
-        campaign.run(options(argc, argv));
+        campaign.run(sweep::parseCampaignArgs(argc, argv));
 
-    for (const auto &[suite_name, workloads] : suites()) {
+    for (const auto &[suite_name, workloads] : benchmarkSuites()) {
         TextTable t;
         std::vector<std::string> header{"config"};
         for (const unsigned s : sizes)

@@ -33,7 +33,7 @@ main(int argc, char **argv)
     };
 
     sweep::Campaign campaign;
-    for (const auto &[suite_name, workloads] : suites()) {
+    for (const auto &[suite_name, workloads] : benchmarkSuites()) {
         for (const Workload *w : workloads) {
             campaign.add(*w, {"ref", CoreParams::fourWide()});
             for (const auto &[cfg_name, reno_cfg] : configs) {
@@ -46,9 +46,9 @@ main(int argc, char **argv)
         }
     }
     const sweep::CampaignResults results =
-        campaign.run(options(argc, argv));
+        campaign.run(sweep::parseCampaignArgs(argc, argv));
 
-    for (const auto &[suite_name, workloads] : suites()) {
+    for (const auto &[suite_name, workloads] : benchmarkSuites()) {
         TextTable t;
         t.header({"config", "i2t2", "i2t3", "i3t4"});
 

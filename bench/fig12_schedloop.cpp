@@ -29,7 +29,7 @@ main(int argc, char **argv)
     // The 1-cycle BASE jobs are content-identical to the reference
     // runs; the engine simulates them once.
     sweep::Campaign campaign;
-    for (const auto &[suite_name, workloads] : suites()) {
+    for (const auto &[suite_name, workloads] : benchmarkSuites()) {
         for (const Workload *w : workloads) {
             campaign.add(*w, {"ref", CoreParams::fourWide()});
             for (const auto &[cfg_name, reno_cfg] : configs) {
@@ -44,9 +44,9 @@ main(int argc, char **argv)
         }
     }
     const sweep::CampaignResults results =
-        campaign.run(options(argc, argv));
+        campaign.run(sweep::parseCampaignArgs(argc, argv));
 
-    for (const auto &[suite_name, workloads] : suites()) {
+    for (const auto &[suite_name, workloads] : benchmarkSuites()) {
         TextTable t;
         t.header({"config", "1-cycle", "2-cycle"});
 

@@ -62,9 +62,6 @@ struct Program {
     Addr entry = DefaultTextBase;      //!< `_start` if defined
     std::map<std::string, Addr> symbols;
 
-    /** Total number of static instructions. */
-    size_t numInsts() const { return text.size(); }
-
     /** Decoded instruction at @p pc; pc must be text-aligned. */
     Instruction instAt(Addr pc) const;
 

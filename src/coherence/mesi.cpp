@@ -8,18 +8,6 @@
 namespace reno
 {
 
-const char *
-mesiStateName(MesiState s)
-{
-    switch (s) {
-      case MesiState::Invalid:   return "I";
-      case MesiState::Shared:    return "S";
-      case MesiState::Exclusive: return "E";
-      case MesiState::Modified:  return "M";
-    }
-    return "?";
-}
-
 CoherenceBus::CoherenceBus(const SysParams &params,
                            unsigned blockBytes, unsigned numCores)
     : numCores_(numCores), blockMask_(blockBytes - 1),

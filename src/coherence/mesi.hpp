@@ -45,8 +45,6 @@ struct SysParams;
 /** MESI state of one line in one core's data cache. */
 enum class MesiState { Invalid, Shared, Exclusive, Modified };
 
-const char *mesiStateName(MesiState s);
-
 /**
  * Serializable snapshot of a CoherenceBus: the line-state directory
  * (sorted by line address, so the encoding of a given state is

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace reno
 {
@@ -34,13 +35,13 @@ class Fnv64
     /** Absorb a string's bytes plus a length separator, so that
      *  ("ab","c") and ("a","bc") digest differently. */
     Fnv64 &
-    update(const std::string &s)
+    update(std::string_view s)
     {
         update(s.data(), s.size());
         return update(s.size());
     }
 
-    Fnv64 &update(const char *s) { return update(std::string(s)); }
+    Fnv64 &update(const char *s) { return update(std::string_view(s)); }
 
     /** Absorb an integer's little-endian bytes. */
     Fnv64 &

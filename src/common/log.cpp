@@ -125,12 +125,6 @@ setLogThreshold(LogLevel level)
     return prev;
 }
 
-LogLevel
-logThreshold()
-{
-    return threshold();
-}
-
 void
 panic(const char *fmt, ...)
 {

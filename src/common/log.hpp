@@ -70,9 +70,6 @@ std::FILE *setLogSink(std::FILE *sink);
  */
 LogLevel setLogThreshold(LogLevel level);
 
-/** The active threshold (resolving RENO_LOG_LEVEL on first use). */
-LogLevel logThreshold();
-
 /** vsnprintf into a std::string. */
 std::string vstrprintf(const char *fmt, va_list args);
 

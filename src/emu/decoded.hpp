@@ -166,7 +166,6 @@ class BlockCache
     /** Drop everything (restore onto new state). Stats persist. */
     void clear();
 
-    std::size_t numBlocks() const { return blocks_.size(); }
     const BlockCacheStats &stats() const { return stats_; }
 
     /** Bumped whenever cached blocks are freed (replace / invalidate /

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <climits>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 
 #include "common/digest.hpp"
 #include "common/log.hpp"
@@ -30,10 +28,7 @@ namespace
 bool &
 decodedDefaultFlag()
 {
-    static bool flag = [] {
-        const char *mode = std::getenv("RENO_EMU_MODE");
-        return mode == nullptr || std::string_view{mode} != "interp";
-    }();
+    static bool flag = true;
     return flag;
 }
 
@@ -428,14 +423,6 @@ Emulator::noteCodeWrite(Addr addr, unsigned size)
             static_cast<std::uint32_t>(mem_.read(w, 4));
     cache_.invalidateRange(addr, addr + size);
     curBlock_ = nullptr;  // may point at a dropped block
-}
-
-void
-Emulator::syncCodeFromMemory()
-{
-    for (std::size_t i = 0; i < code_.size(); ++i)
-        code_[i] = static_cast<std::uint32_t>(
-            mem_.read(textBase_ + i * 4, 4));
 }
 
 void

@@ -34,11 +34,10 @@ namespace reno
 {
 
 /**
- * Process-wide default for Options::decodedExec. Initialized from the
- * RENO_EMU_MODE environment variable ("interp" selects the per-step
- * interpreter, anything else the decoded engine) and overridable by
- * the CLIs' --emu flag. Outputs are bit-exact either way; the decoded
- * engine is simply faster.
+ * Process-wide default for Options::decodedExec: true (the decoded
+ * engine) unless a caller -- the interpreter-reference tests -- sets
+ * it. Outputs are bit-exact either way; the decoded engine is simply
+ * faster.
  */
 bool defaultDecodedExec();
 void setDefaultDecodedExec(bool decoded);
@@ -180,7 +179,6 @@ class Emulator
 
     /** Cumulative decoded-block cache statistics (see decoded.hpp). */
     const BlockCacheStats &blockStats() const { return cache_.stats(); }
-    std::size_t cachedBlocks() const { return cache_.numBlocks(); }
 
     /** Instructions retired via the decoded engine / the per-step
      *  interpreter (they sum to instCount()). */
@@ -209,9 +207,6 @@ class Emulator
      *  re-sync the affected code words from memory and invalidate
      *  every overlapping decoded block. */
     void noteCodeWrite(Addr addr, unsigned size);
-
-    /** Rebuild the mutable code image from memory (restore path). */
-    void syncCodeFromMemory();
 
     /** Accumulate block-cache stats into the obs MetricsRegistry. */
     void flushBlockMetrics() const;

@@ -160,13 +160,6 @@ Tracer::threadName(std::string name)
     record(std::move(e));
 }
 
-std::size_t
-Tracer::eventCount() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return events_.size();
-}
-
 std::vector<TraceEvent>
 Tracer::events() const
 {

@@ -112,7 +112,6 @@ class Tracer
     /** Small stable id of the calling thread (assigned on first use). */
     static std::uint32_t currentThreadId();
 
-    std::size_t eventCount() const;
     std::vector<TraceEvent> events() const;
 
     /** Render the whole buffer as Chrome trace-event JSON. */

@@ -54,7 +54,6 @@ class InstArena
     }
 
     std::size_t slabCount() const { return slabs_.size(); }
-    std::size_t freeCount() const { return free_.size(); }
 
   private:
     void

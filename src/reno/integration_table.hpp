@@ -119,8 +119,6 @@ class IntegrationTable
     std::uint64_t insertions() const { return insertions_; }
     std::uint64_t invalidations() const { return invalidations_; }
 
-    unsigned numEntries() const { return params_.entries; }
-
   private:
     unsigned setIndex(Opcode op, std::int32_t imm, const MapEntry &in1,
                       const MapEntry &in2) const;

@@ -1,11 +1,8 @@
 #include "sample/checkpoint.hpp"
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
 #include "common/digest.hpp"
 #include "common/log.hpp"
+#include "common/record.hpp"
 
 namespace reno::sample
 {
@@ -13,7 +10,7 @@ namespace reno::sample
 namespace
 {
 
-// Format (text, one record per line; v6):
+// Format (common/record.hpp records, one per line; v6):
 //
 //   reno-checkpoint v6
 //   cores N
@@ -36,134 +33,41 @@ namespace
 constexpr const char *CheckpointTag = "reno-checkpoint v6";
 constexpr const char *ProfileTag = "reno-funcprofile v1";
 
-std::string
-hexEncode(const std::uint8_t *data, std::size_t len)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out;
-    out.reserve(len * 2);
-    for (std::size_t i = 0; i < len; ++i) {
-        out += digits[data[i] >> 4];
-        out += digits[data[i] & 0xf];
-    }
-    return out;
-}
-
-int
-hexNibble(char c)
-{
-    if (c >= '0' && c <= '9')
-        return c - '0';
-    if (c >= 'a' && c <= 'f')
-        return c - 'a' + 10;
-    return -1;
-}
-
-bool
-hexDecode(const std::string &text, std::vector<std::uint8_t> *out)
-{
-    if (text.size() % 2)
-        return false;
-    out->clear();
-    out->reserve(text.size() / 2);
-    for (std::size_t i = 0; i < text.size(); i += 2) {
-        const int hi = hexNibble(text[i]);
-        const int lo = hexNibble(text[i + 1]);
-        if (hi < 0 || lo < 0)
-            return false;
-        out->push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-    }
-    return true;
-}
-
-bool
-keyValue(const std::string &line, const std::string &key,
-         std::string *value)
-{
-    const std::size_t space = line.find(' ');
-    if (space == std::string::npos || line.compare(0, space, key) != 0)
-        return false;
-    *value = line.substr(space + 1);
-    return true;
-}
-
-bool
-keyU64(const std::string &line, const std::string &key,
-       std::uint64_t *value)
-{
-    std::string v;
-    if (!keyValue(line, key, &v))
-        return false;
-    try {
-        *value = std::stoull(v);
-    } catch (...) {
-        return false;
-    }
-    return true;
-}
-
 void
-encodeCacheState(std::string &out, const std::string &name,
+encodeCacheState(RecordWriter &out, const std::string &name,
                  const CacheState &state)
 {
-    out += strprintf("cache %s %llu %zu %zu\n", name.c_str(),
-                     static_cast<unsigned long long>(state.lruClock),
-                     state.validLines.size(),
-                     state.prefetch.entries.size());
+    out.put("cache", name, state.lruClock, state.validLines.size(),
+            state.prefetch.entries.size());
     for (const CacheState::Line &l : state.validLines)
-        out += strprintf("line %u %llu %llu %d %d\n", l.index,
-                         static_cast<unsigned long long>(l.tag),
-                         static_cast<unsigned long long>(l.lruStamp),
-                         l.dirty ? 1 : 0, l.prefetched ? 1 : 0);
+        out.put("line", l.index, l.tag, l.lruStamp, l.dirty,
+                l.prefetched);
     for (const PrefetchState::Entry &e : state.prefetch.entries)
-        out += strprintf("pfent %u %llu %llu %lld %u\n", e.index,
-                         static_cast<unsigned long long>(e.regionTag),
-                         static_cast<unsigned long long>(e.lastBlock),
-                         static_cast<long long>(e.stride),
-                         e.confidence);
+        out.put("pfent", e.index, e.regionTag, e.lastBlock, e.stride,
+                e.confidence);
 }
 
 bool
-decodeCacheState(std::istream &in, std::string &line,
-                 const std::string &expected_name, CacheState *out)
+decodeCacheState(RecordReader &in, const std::string &expected_name,
+                 CacheState *out)
 {
-    if (!std::getline(in, line))
+    std::string name;
+    std::uint64_t count = 0, pf_count = 0;
+    if (!in.get("cache", name, out->lruClock, count, pf_count) ||
+        name != expected_name)
         return false;
-    std::istringstream hdr(line);
-    std::string key, name;
-    std::size_t count = 0, pf_count = 0;
-    if (!(hdr >> key >> name >> out->lruClock >> count >> pf_count) ||
-        key != "cache" || name != expected_name)
-        return false;
-    out->validLines.clear();
-    out->validLines.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        if (!std::getline(in, line))
-            return false;
-        std::istringstream ls(line);
+    for (std::uint64_t i = 0; i < count; ++i) {
         CacheState::Line l;
-        int dirty = 0, prefetched = 0;
-        if (!(ls >> key >> l.index >> l.tag >> l.lruStamp >> dirty >>
-              prefetched) ||
-            key != "line")
+        if (!in.get("line", l.index, l.tag, l.lruStamp, l.dirty,
+                    l.prefetched))
             return false;
-        l.dirty = dirty != 0;
-        l.prefetched = prefetched != 0;
         out->validLines.push_back(l);
     }
-    out->prefetch.entries.clear();
-    out->prefetch.entries.reserve(pf_count);
-    for (std::size_t i = 0; i < pf_count; ++i) {
-        if (!std::getline(in, line))
-            return false;
-        std::istringstream es(line);
+    for (std::uint64_t i = 0; i < pf_count; ++i) {
         PrefetchState::Entry e;
-        long long stride = 0;
-        if (!(es >> key >> e.index >> e.regionTag >> e.lastBlock >>
-              stride >> e.confidence) ||
-            key != "pfent")
+        if (!in.get("pfent", e.index, e.regionTag, e.lastBlock, e.stride,
+                    e.confidence))
             return false;
-        e.stride = stride;
         out->prefetch.entries.push_back(e);
     }
     return true;
@@ -171,96 +75,46 @@ decodeCacheState(std::istream &in, std::string &line,
 
 /** One core's functional half ("core i" header + snapshot). */
 void
-encodeEmuHalf(std::string &out, unsigned core,
-              const EmuCheckpoint &emu)
+encodeEmuHalf(RecordWriter &out, unsigned core, const EmuCheckpoint &emu)
 {
-    out += strprintf("core %u\n", core);
-    out += strprintf("prog %llu\n",
-                     static_cast<unsigned long long>(emu.progDigest));
-    out += strprintf("inst %llu\n",
-                     static_cast<unsigned long long>(emu.instCount));
-    out += strprintf("exit %llu\n",
-                     static_cast<unsigned long long>(emu.exitCode));
-    out += strprintf("rand %llu\n",
-                     static_cast<unsigned long long>(emu.randState));
-    out += strprintf("done %d\n", emu.done ? 1 : 0);
-    out += strprintf("pc %llu\n",
-                     static_cast<unsigned long long>(emu.state.pc));
-    out += "regs";
-    for (unsigned r = 0; r < NumLogRegs; ++r)
-        out += strprintf(" %llu",
-                         static_cast<unsigned long long>(
-                             emu.state.regs[r]));
-    out += '\n';
-    out += strprintf("output %s\n",
-                     hexEncode(reinterpret_cast<const std::uint8_t *>(
-                                   emu.output.data()),
-                               emu.output.size())
-                         .c_str());
-    out += strprintf("pages %zu\n", emu.mem.pages().size());
+    out.put("core", core);
+    out.put("prog", emu.progDigest);
+    out.put("inst", emu.instCount);
+    out.put("exit", emu.exitCode);
+    out.put("rand", emu.randState);
+    out.put("done", emu.done);
+    out.put("pc", emu.state.pc);
+    out.put("regs", emu.state.regs);
+    out.put("output", Hex{emu.output});
+    out.put("pages", emu.mem.pages().size());
     for (const auto &[page_num, page] : emu.mem.pages())
-        out += strprintf("page %llu %s\n",
-                         static_cast<unsigned long long>(page_num),
-                         hexEncode(page.data(), page.size()).c_str());
+        out.put("page", page_num, Hex{page});
 }
 
 bool
-decodeEmuHalf(std::istream &in, std::string &line, unsigned core,
-              EmuCheckpoint *emu)
+decodeEmuHalf(RecordReader &in, unsigned core, EmuCheckpoint *emu)
 {
-    auto next_u64 = [&in, &line](const char *key, std::uint64_t *v) {
-        return std::getline(in, line) && keyU64(line, key, v);
-    };
-    std::uint64_t hdr_core = 0;
-    if (!next_u64("core", &hdr_core) || hdr_core != core)
-        return false;
-    std::uint64_t done = 0;
-    if (!next_u64("prog", &emu->progDigest) ||
-        !next_u64("inst", &emu->instCount) ||
-        !next_u64("exit", &emu->exitCode) ||
-        !next_u64("rand", &emu->randState) ||
-        !next_u64("done", &done))
-        return false;
-    emu->done = done != 0;
-    if (!next_u64("pc", &emu->state.pc))
-        return false;
-
-    if (!std::getline(in, line) || line.rfind("regs", 0) != 0)
-        return false;
-    {
-        std::istringstream regs(line.substr(4));
-        for (unsigned r = 0; r < NumLogRegs; ++r) {
-            if (!(regs >> emu->state.regs[r]))
-                return false;
-        }
-    }
-
-    std::string hex;
-    std::vector<std::uint8_t> bytes;
-    if (!std::getline(in, line) || !keyValue(line, "output", &hex) ||
-        !hexDecode(hex, &bytes))
-        return false;
-    emu->output.assign(bytes.begin(), bytes.end());
-
+    unsigned hdr_core = 0;
     std::uint64_t npages = 0;
-    if (!next_u64("pages", &npages))
+    if (!in.get("core", hdr_core) || hdr_core != core ||
+        !in.get("prog", emu->progDigest) ||
+        !in.get("inst", emu->instCount) ||
+        !in.get("exit", emu->exitCode) ||
+        !in.get("rand", emu->randState) || !in.get("done", emu->done) ||
+        !in.get("pc", emu->state.pc) ||
+        !in.get("regs", emu->state.regs) ||
+        !in.get("output", Hex{emu->output}) ||
+        !in.get("pages", npages))
         return false;
+    std::string bytes;
     for (std::uint64_t p = 0; p < npages; ++p) {
-        if (!std::getline(in, line) || line.rfind("page ", 0) != 0)
-            return false;
-        const std::size_t space = line.find(' ', 5);
-        if (space == std::string::npos)
-            return false;
         std::uint64_t page_num = 0;
-        try {
-            page_num = std::stoull(line.substr(5, space - 5));
-        } catch (...) {
-            return false;
-        }
-        if (!hexDecode(line.substr(space + 1), &bytes) ||
+        if (!in.get("page", page_num, Hex{bytes}) ||
+            page_num > (~Addr{0} >> SparseMemory::PageBits) ||
             bytes.size() != SparseMemory::PageSize)
             return false;
-        emu->mem.load(page_num << SparseMemory::PageBits, bytes.data(),
+        emu->mem.load(page_num << SparseMemory::PageBits,
+                      reinterpret_cast<const std::uint8_t *>(bytes.data()),
                       bytes.size());
     }
     return true;
@@ -269,126 +123,58 @@ decodeEmuHalf(std::istream &in, std::string &line, unsigned core,
 /** The composable-predictor state block (direction tables, BTB, RAS,
  *  indirect-target table), one per "corewarm" block. */
 void
-encodeBpredState(std::string &out, const BranchPredState &bp)
+encodeBpredState(RecordWriter &out, const BranchPredState &bp)
 {
-    out += strprintf("bpdir %llu %zu\n",
-                     static_cast<unsigned long long>(bp.dir.history),
-                     bp.dir.tables.size());
-    for (const std::vector<std::uint64_t> &table : bp.dir.tables) {
-        out += strprintf("dtab %zu", table.size());
-        // Signed rendering: two's-complement words (perceptron
-        // weights) print as small negative numbers, not 20-digit
-        // wrap-arounds.
-        for (const std::uint64_t v : table)
-            out += strprintf(" %lld",
-                             static_cast<long long>(v));
-        out += '\n';
-    }
-    out += strprintf("btb %zu %llu\n", bp.btb.entries.size(),
-                     static_cast<unsigned long long>(
-                         bp.btb.lruClock));
+    out.put("bpdir", bp.dir.history, bp.dir.tables.size());
+    // Signed rendering: two's-complement words (perceptron weights)
+    // print as small negative numbers, not 20-digit wrap-arounds.
+    for (const std::vector<std::uint64_t> &table : bp.dir.tables)
+        out.put("dtab", table.size(),
+                std::vector<std::int64_t>(table.begin(), table.end()));
+    out.put("btb", bp.btb.entries.size(), bp.btb.lruClock);
     for (const BtbState::Entry &e : bp.btb.entries)
-        out += strprintf("btbent %u %llu %llu %llu\n", e.index,
-                         static_cast<unsigned long long>(e.tag),
-                         static_cast<unsigned long long>(e.target),
-                         static_cast<unsigned long long>(e.lruStamp));
-    out += strprintf("ras %zu %u", bp.ras.stack.size(), bp.ras.top);
-    for (const Addr a : bp.ras.stack)
-        out += strprintf(" %llu", static_cast<unsigned long long>(a));
-    out += '\n';
-    out += strprintf("itt %zu %llu\n", bp.indirect.entries.size(),
-                     static_cast<unsigned long long>(
-                         bp.indirect.history));
+        out.put("btbent", e.index, e.tag, e.target, e.lruStamp);
+    out.put("ras", bp.ras.stack.size(), bp.ras.top, bp.ras.stack);
+    out.put("itt", bp.indirect.entries.size(), bp.indirect.history);
     for (const IndirectState::Entry &e : bp.indirect.entries)
-        out += strprintf("ittent %u %llu %llu\n", e.index,
-                         static_cast<unsigned long long>(e.tag),
-                         static_cast<unsigned long long>(e.target));
+        out.put("ittent", e.index, e.tag, e.target);
 }
 
 bool
-decodeBpredState(std::istream &in, std::string &line,
-                 BranchPredState *out)
+decodeBpredState(RecordReader &in, BranchPredState *out)
 {
     BranchPredState &bp = *out;
-    {
-        std::size_t ntables = 0;
-        if (!std::getline(in, line))
-            return false;
-        std::istringstream hdr(line);
-        std::string key;
-        if (!(hdr >> key >> bp.dir.history >> ntables) ||
-            key != "bpdir")
-            return false;
-        bp.dir.tables.resize(ntables);
-        for (std::size_t t = 0; t < ntables; ++t) {
-            if (!std::getline(in, line))
-                return false;
-            std::istringstream ts(line);
-            std::size_t len = 0;
-            std::string key2;
-            if (!(ts >> key2 >> len) || key2 != "dtab")
-                return false;
-            bp.dir.tables[t].resize(len);
-            for (std::size_t i = 0; i < len; ++i) {
-                long long v = 0;
-                if (!(ts >> v))
-                    return false;
-                bp.dir.tables[t][i] = static_cast<std::uint64_t>(v);
-            }
-        }
-    }
-    {
-        std::size_t nbtb = 0;
-        if (!std::getline(in, line))
-            return false;
-        std::istringstream hdr(line);
-        std::string key;
-        if (!(hdr >> key >> nbtb >> bp.btb.lruClock) || key != "btb")
-            return false;
-        for (std::size_t i = 0; i < nbtb; ++i) {
-            if (!std::getline(in, line))
-                return false;
-            std::istringstream es(line);
-            BtbState::Entry e;
-            if (!(es >> key >> e.index >> e.tag >> e.target >>
-                  e.lruStamp) ||
-                key != "btbent")
-                return false;
-            bp.btb.entries.push_back(e);
-        }
-    }
-    if (!std::getline(in, line) || line.rfind("ras ", 0) != 0)
+    std::uint64_t ntables = 0;
+    if (!in.get("bpdir", bp.dir.history, ntables))
         return false;
-    {
-        std::istringstream rs(line.substr(4));
-        std::size_t n = 0;
-        if (!(rs >> n >> bp.ras.top))
+    for (std::uint64_t t = 0; t < ntables; ++t) {
+        std::uint64_t len = 0;
+        std::vector<std::int64_t> table;
+        if (!in.get("dtab", len, table) || table.size() != len)
             return false;
-        bp.ras.stack.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!(rs >> bp.ras.stack[i]))
-                return false;
-        }
+        bp.dir.tables.emplace_back(table.begin(), table.end());
     }
-    {
-        std::size_t nitt = 0;
-        if (!std::getline(in, line))
+    std::uint64_t nbtb = 0;
+    if (!in.get("btb", nbtb, bp.btb.lruClock))
+        return false;
+    for (std::uint64_t i = 0; i < nbtb; ++i) {
+        BtbState::Entry e;
+        if (!in.get("btbent", e.index, e.tag, e.target, e.lruStamp))
             return false;
-        std::istringstream hdr(line);
-        std::string key;
-        if (!(hdr >> key >> nitt >> bp.indirect.history) ||
-            key != "itt")
+        bp.btb.entries.push_back(e);
+    }
+    std::uint64_t nras = 0;
+    if (!in.get("ras", nras, bp.ras.top, bp.ras.stack) ||
+        bp.ras.stack.size() != nras)
+        return false;
+    std::uint64_t nitt = 0;
+    if (!in.get("itt", nitt, bp.indirect.history))
+        return false;
+    for (std::uint64_t i = 0; i < nitt; ++i) {
+        IndirectState::Entry e;
+        if (!in.get("ittent", e.index, e.tag, e.target))
             return false;
-        for (std::size_t i = 0; i < nitt; ++i) {
-            if (!std::getline(in, line))
-                return false;
-            std::istringstream es(line);
-            IndirectState::Entry e;
-            if (!(es >> key >> e.index >> e.tag >> e.target) ||
-                key != "ittent")
-                return false;
-            bp.indirect.entries.push_back(e);
-        }
+        bp.indirect.entries.push_back(e);
     }
     return true;
 }
@@ -396,40 +182,27 @@ decodeBpredState(std::istream &in, std::string &line,
 /** The warm half: MESI directory, shared stack, then one "corewarm"
  *  block (lastblk + L1s + predictor) per core. */
 void
-encodeWarmHalf(std::string &out, const WarmState &warm)
+encodeWarmHalf(RecordWriter &out, const WarmState &warm)
 {
-    out += strprintf("warmcfg %llu\n",
-                     static_cast<unsigned long long>(warmConfigDigest(
-                         warm.memParams(), warm.bpParams(),
-                         warm.numCores())));
+    out.put("warmcfg", warmConfigDigest(warm.memParams(), warm.bpParams(),
+                                        warm.numCores()));
     const CoherenceBusState bus = warm.bus().exportState();
-    out += strprintf("bus %zu %llu %llu %llu %llu\n",
-                     bus.lines.size(),
-                     static_cast<unsigned long long>(
-                         bus.invalidations),
-                     static_cast<unsigned long long>(
-                         bus.interventions),
-                     static_cast<unsigned long long>(
-                         bus.upgradeMisses),
-                     static_cast<unsigned long long>(bus.writebacks));
+    out.put("bus", bus.lines.size(), bus.invalidations,
+            bus.interventions, bus.upgradeMisses, bus.writebacks);
     for (const CoherenceBusState::Line &l : bus.lines)
-        out += strprintf("busln %llu %u %d %d\n",
-                         static_cast<unsigned long long>(l.line),
-                         l.sharers, l.owner, l.modified ? 1 : 0);
-    out += strprintf("sharedlevels %zu\n", warm.numSharedLevels());
+        out.put("busln", l.line, l.sharers, l.owner, l.modified);
+    out.put("sharedlevels", warm.numSharedLevels());
     for (std::size_t i = 0; i < warm.numSharedLevels(); ++i)
         encodeCacheState(out, warm.sharedLevel(i).name(),
                          warm.sharedLevel(i).exportState());
     for (unsigned c = 0; c < warm.numCores(); ++c) {
-        out += strprintf("corewarm %u\n", c);
-        out += strprintf("lastblk %llu\n",
-                         static_cast<unsigned long long>(
-                             warm.lastFetchBlock(c)));
+        out.put("corewarm", c);
+        out.put("lastblk", warm.lastFetchBlock(c));
         const MemHierarchy::State mem_state =
             warm.coreMem(c).exportState();
         const std::vector<const Cache *> levels =
             warm.coreMem(c).levels();
-        out += strprintf("levels %zu\n", mem_state.caches.size());
+        out.put("levels", mem_state.caches.size());
         for (std::size_t i = 0; i < mem_state.caches.size(); ++i)
             encodeCacheState(out, levels[i]->name(),
                              mem_state.caches[i]);
@@ -438,8 +211,7 @@ encodeWarmHalf(std::string &out, const WarmState &warm)
 }
 
 bool
-decodeWarmHalf(std::istream &in, std::string &line,
-               const MemHierarchy::Params &mem_params,
+decodeWarmHalf(RecordReader &in, const MemHierarchy::Params &mem_params,
                const BranchPredParams &bp_params, unsigned num_cores,
                std::shared_ptr<WarmState> *out, std::string *why)
 {
@@ -448,59 +220,39 @@ decodeWarmHalf(std::istream &in, std::string &line,
             *why = reason;
         return false;
     };
-    auto next_u64 = [&in, &line](const char *key, std::uint64_t *v) {
-        return std::getline(in, line) && keyU64(line, key, v);
-    };
 
     auto warm = std::make_shared<WarmState>(mem_params, bp_params,
                                             num_cores);
 
     std::uint64_t warmcfg = 0;
-    if (!next_u64("warmcfg", &warmcfg) ||
+    if (!in.get("warmcfg", warmcfg) ||
         warmcfg != warmConfigDigest(mem_params, bp_params, num_cores))
         return fail("warm-config digest does not match the target "
                     "models");
 
     CoherenceBusState bus;
-    {
-        if (!std::getline(in, line))
-            return fail("truncated warm half (no bus block)");
-        std::istringstream hdr(line);
-        std::string key;
-        std::size_t nlines = 0;
-        if (!(hdr >> key >> nlines >> bus.invalidations >>
-              bus.interventions >> bus.upgradeMisses >>
-              bus.writebacks) ||
-            key != "bus")
-            return fail("corrupt MESI bus header");
-        bus.lines.reserve(nlines);
-        for (std::size_t i = 0; i < nlines; ++i) {
-            if (!std::getline(in, line))
-                return fail("truncated MESI directory");
-            std::istringstream ls(line);
-            CoherenceBusState::Line l;
-            int modified = 0;
-            if (!(ls >> key >> l.line >> l.sharers >> l.owner >>
-                  modified) ||
-                key != "busln")
-                return fail("corrupt MESI directory line");
-            l.modified = modified != 0;
-            bus.lines.push_back(l);
-        }
+    std::uint64_t nlines = 0;
+    if (!in.get("bus", nlines, bus.invalidations, bus.interventions,
+                bus.upgradeMisses, bus.writebacks))
+        return fail("corrupt MESI bus header");
+    for (std::uint64_t i = 0; i < nlines; ++i) {
+        CoherenceBusState::Line l;
+        if (!in.get("busln", l.line, l.sharers, l.owner, l.modified))
+            return fail("corrupt MESI directory line");
+        bus.lines.push_back(l);
     }
     if (!warm->bus().importState(bus))
         return fail(strprintf("MESI directory does not fit a %u-core "
                               "bus", num_cores));
 
     std::uint64_t nshared = 0;
-    if (!next_u64("sharedlevels", &nshared) ||
+    if (!in.get("sharedlevels", nshared) ||
         nshared != warm->numSharedLevels())
         return fail("shared-stack depth does not match the target "
                     "geometry");
     for (std::size_t i = 0; i < nshared; ++i) {
         CacheState state;
-        if (!decodeCacheState(in, line, warm->sharedLevel(i).name(),
-                              &state) ||
+        if (!decodeCacheState(in, warm->sharedLevel(i).name(), &state) ||
             !warm->sharedLevel(i).importState(state))
             return fail(strprintf("corrupt shared-level block "
                                   "('%s')",
@@ -509,26 +261,19 @@ decodeWarmHalf(std::istream &in, std::string &line,
     }
 
     for (unsigned c = 0; c < num_cores; ++c) {
-        std::uint64_t hdr_core = 0;
-        if (!next_u64("corewarm", &hdr_core) || hdr_core != c)
-            return fail(strprintf("corrupt per-core warm block "
-                                  "(core %u)", c));
-        std::uint64_t lastblk = 0;
-        if (!next_u64("lastblk", &lastblk))
-            return fail(strprintf("corrupt per-core warm block "
-                                  "(core %u)", c));
-        warm->lastFetchBlock(c) = lastblk;
+        unsigned hdr_core = 0;
         std::uint64_t nlevels = 0;
-        MemHierarchy::State mem_state;
         const std::vector<const Cache *> levels =
             warm->coreMem(c).levels();
-        if (!next_u64("levels", &nlevels) ||
-            nlevels != levels.size())
+        if (!in.get("corewarm", hdr_core) || hdr_core != c ||
+            !in.get("lastblk", warm->lastFetchBlock(c)) ||
+            !in.get("levels", nlevels) || nlevels != levels.size())
             return fail(strprintf("corrupt per-core warm block "
                                   "(core %u)", c));
+        MemHierarchy::State mem_state;
         mem_state.caches.resize(nlevels);
         for (std::size_t i = 0; i < nlevels; ++i) {
-            if (!decodeCacheState(in, line, levels[i]->name(),
+            if (!decodeCacheState(in, levels[i]->name(),
                                   &mem_state.caches[i]))
                 return fail(strprintf("corrupt per-core warm block "
                                       "(core %u, '%s')", c,
@@ -538,13 +283,21 @@ decodeWarmHalf(std::istream &in, std::string &line,
             return fail(strprintf("per-core L1 state does not fit "
                                   "(core %u)", c));
         BranchPredState bp;
-        if (!decodeBpredState(in, line, &bp) ||
+        if (!decodeBpredState(in, &bp) ||
             !warm->coreBp(c).importState(bp))
             return fail(strprintf("corrupt per-core predictor block "
                                   "(core %u)", c));
     }
     *out = std::move(warm);
     return true;
+}
+
+void
+storeFile(const std::string &path, const std::string &contents)
+{
+    std::string why;
+    if (!writeFileAtomic(path, contents, &why))
+        warn("checkpoint store: %s", why.c_str());
 }
 
 } // namespace
@@ -601,19 +354,18 @@ CheckpointStore::encode(const SampleCheckpoint &ckpt)
     if (!ckpt.usable())
         fatal("encoding an unusable checkpoint");
 
-    std::string out = CheckpointTag;
-    out += '\n';
-    out += strprintf("cores %u\n", ckpt.numCores());
+    RecordWriter out;
+    out.put(CheckpointTag);
+    out.put("cores", ckpt.numCores());
     for (unsigned i = 0; i < ckpt.numCores(); ++i)
         encodeEmuHalf(out, i, *ckpt.emus[i]);
     encodeWarmHalf(out, *ckpt.warm);
 
     // Integrity digest over everything above.
     Fnv64 h;
-    h.update(out);
-    out += strprintf("digest %llu\n",
-                     static_cast<unsigned long long>(h.value()));
-    return out;
+    h.update(out.str());
+    out.put("digest", h.value());
+    return out.take();
 }
 
 bool
@@ -629,36 +381,29 @@ CheckpointStore::decode(const std::string &text,
         return false;
     };
 
-    // Verify the trailing integrity digest first.
-    const std::size_t digest_pos = text.rfind("digest ");
-    if (digest_pos == std::string::npos)
+    // Verify the integrity digest on the last line first. (npos + 1
+    // wraps to 0: a one-line file is all digest line.)
+    const std::string_view all = text;
+    const std::size_t digest_pos =
+        all.empty() ? 0 : all.substr(0, all.size() - 1).rfind('\n') + 1;
+    if (all.empty() || all.back() != '\n' ||
+        all.substr(digest_pos, 7) != "digest ")
         return fail("no integrity digest (truncated file?)");
-    {
-        std::uint64_t stored = 0;
-        const std::string digest_line =
-            text.substr(digest_pos,
-                        text.find('\n', digest_pos) - digest_pos);
-        if (!keyU64(digest_line, "digest", &stored))
-            return fail("malformed integrity digest");
-        Fnv64 h;
-        h.update(text.substr(0, digest_pos));
-        if (h.value() != stored)
-            return fail("integrity digest mismatch (corrupt or "
-                        "spliced file)");
-    }
+    std::uint64_t stored = 0;
+    if (!RecordReader(all.substr(digest_pos)).get("digest", stored))
+        return fail("malformed integrity digest");
+    const std::string_view body = all.substr(0, digest_pos);
+    if (Fnv64().update(body).value() != stored)
+        return fail("integrity digest mismatch (corrupt or "
+                    "spliced file)");
 
-    std::istringstream in(text);
-    std::string line;
-    if (!std::getline(in, line) || line != CheckpointTag)
+    RecordReader in(body);
+    if (!in.get(CheckpointTag))
         return fail(strprintf("bad or truncated header (expected "
                               "'%s')", CheckpointTag));
 
-    auto next_u64 = [&in, &line](const char *key, std::uint64_t *v) {
-        return std::getline(in, line) && keyU64(line, key, v);
-    };
-
     std::uint64_t num_cores = 0;
-    if (!next_u64("cores", &num_cores) || num_cores == 0)
+    if (!in.get("cores", num_cores) || num_cores == 0)
         return fail("missing or zero core count");
     if (num_cores != expected_cores)
         return fail(strprintf("checkpoint snapshots %llu cores, "
@@ -670,16 +415,18 @@ CheckpointStore::decode(const std::string &text,
     std::vector<std::shared_ptr<const EmuCheckpoint>> emus;
     for (unsigned c = 0; c < expected_cores; ++c) {
         auto e = std::make_shared<EmuCheckpoint>();
-        if (!decodeEmuHalf(in, line, c, e.get()))
+        if (!decodeEmuHalf(in, c, e.get()))
             return fail(strprintf("corrupt functional block (core %u)",
                                   c));
         emus.push_back(std::move(e));
     }
 
     std::shared_ptr<WarmState> warm;
-    if (!decodeWarmHalf(in, line, mem_params, bp_params,
-                        expected_cores, &warm, why))
+    if (!decodeWarmHalf(in, mem_params, bp_params, expected_cores, &warm,
+                        why))
         return false;
+    if (!in.finish())
+        return fail("unexpected records before the integrity digest");
     out->emus = std::move(emus);
     out->warm = std::move(warm);
     return true;
@@ -702,32 +449,25 @@ CheckpointStore::decodeOrDie(const std::string &text,
 std::string
 CheckpointStore::encodeProfile(const FuncProfile &profile)
 {
-    std::string out = ProfileTag;
-    out += '\n';
-    out += strprintf("insts %llu\n",
-                     static_cast<unsigned long long>(
-                         profile.totalInsts));
-    out += strprintf("memdigest %llu\n",
-                     static_cast<unsigned long long>(
-                         profile.memDigest));
-    return out;
+    RecordWriter out;
+    out.put(ProfileTag);
+    out.put("insts", profile.totalInsts);
+    out.put("memdigest", profile.memDigest);
+    return out.take();
 }
 
 bool
 CheckpointStore::decodeProfile(const std::string &text,
-                               FuncProfile *out)
+                               FuncProfile *out, std::string *why)
 {
-    std::istringstream in(text);
-    std::string line;
-    if (!std::getline(in, line) || line != ProfileTag)
-        return false;
+    RecordReader in(text);
     FuncProfile p;
-    if (!std::getline(in, line) ||
-        !keyU64(line, "insts", &p.totalInsts))
+    if (!in.get(ProfileTag) || !in.get("insts", p.totalInsts) ||
+        !in.get("memdigest", p.memDigest) || !in.finish()) {
+        if (why)
+            *why = in.error();
         return false;
-    if (!std::getline(in, line) ||
-        !keyU64(line, "memdigest", &p.memDigest))
-        return false;
+    }
     *out = p;
     return true;
 }
@@ -749,51 +489,6 @@ CheckpointStore::profilePath(std::uint64_t key) const
     return dir_ + "/" + digestHex(key) + ".prof";
 }
 
-namespace
-{
-
-bool
-readFile(const std::string &path, std::string *out)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::stringstream buf;
-    buf << in.rdbuf();
-    *out = buf.str();
-    return true;
-}
-
-void
-writeFileAtomic(const std::string &dir, const std::string &path,
-                const std::string &contents)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-        warn("checkpoint store: cannot create '%s': %s", dir.c_str(),
-             ec.message().c_str());
-        return;
-    }
-    // Write-then-rename so a concurrent reader never sees a torn file.
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out) {
-            warn("checkpoint store: cannot write '%s'", tmp.c_str());
-            return;
-        }
-        out << contents;
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        warn("checkpoint store: rename to '%s' failed: %s",
-             path.c_str(), ec.message().c_str());
-        std::filesystem::remove(tmp, ec);
-    }
-}
-
-} // namespace
 
 SampleCheckpoint
 CheckpointStore::lookup(const Workload &workload,
@@ -852,7 +547,7 @@ CheckpointStore::store(const Workload &workload,
         mem_[key] = ckpt;
     }
     if (!dir_.empty())
-        writeFileAtomic(dir_, checkpointPath(key), encode(ckpt));
+        storeFile(checkpointPath(key), encode(ckpt));
     return ckpt;
 }
 
@@ -878,10 +573,14 @@ CheckpointStore::lookupProfile(std::uint64_t key, FuncProfile *out)
     }
     if (dir_.empty())
         return false;
-    std::string text;
-    if (!readFile(profilePath(key), &text) ||
-        !decodeProfile(text, out))
+    std::string text, why;
+    if (!readFile(profilePath(key), &text))
         return false;
+    if (!decodeProfile(text, out, &why)) {
+        warn("checkpoint store: ignoring malformed entry %s (%s)",
+             profilePath(key).c_str(), why.c_str());
+        return false;
+    }
     std::lock_guard<std::mutex> lock(mu_);
     profiles_.emplace(key, *out);
     return true;
@@ -896,8 +595,7 @@ CheckpointStore::storeProfile(std::uint64_t key,
         profiles_[key] = profile;
     }
     if (!dir_.empty())
-        writeFileAtomic(dir_, profilePath(key),
-                        encodeProfile(profile));
+        storeFile(profilePath(key), encodeProfile(profile));
 }
 
 } // namespace reno::sample

@@ -61,8 +61,9 @@ std::uint64_t profileKey(const Workload &workload,
 /**
  * Thread-safe store of sampled-simulation checkpoints and functional
  * profiles, in memory and (when constructed with a directory) on
- * disk, one text file per key. Mirrors sweep::ResultCache's layout
- * and write-then-rename discipline so both can share a --cache-dir.
+ * disk, one text file per key. Shares sweep::ResultCache's layout,
+ * record grammar and write-then-rename store (common/record.hpp) so
+ * both can share a --cache-dir.
  */
 class CheckpointStore
 {
@@ -120,10 +121,12 @@ class CheckpointStore
                 const BranchPredParams &bp_params,
                 unsigned expected_cores = 1);
 
-    /** Serialize / parse the profile persistence format. */
+    /** Serialize / parse the profile persistence format; decoding is
+     *  as strict as ResultCache::decode. */
     static std::string encodeProfile(const FuncProfile &profile);
     static bool decodeProfile(const std::string &text,
-                              FuncProfile *out);
+                              FuncProfile *out,
+                              std::string *why = nullptr);
 
   private:
     std::string checkpointPath(std::uint64_t key) const;

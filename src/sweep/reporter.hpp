@@ -38,4 +38,9 @@ ReportRecord recordForFull(const Job &job, const JobResult &result);
 std::string renderResults(const CampaignResults &results,
                           ReportFormat format, bool all_stats = false);
 
+/** Render @p records in @p format (trailing newline included); the
+ *  one format switch behind every campaign and sampler report. */
+std::string renderRecords(const std::vector<ReportRecord> &records,
+                          ReportFormat format);
+
 } // namespace reno::sweep

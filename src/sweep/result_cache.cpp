@@ -1,12 +1,8 @@
 #include "sweep/result_cache.hpp"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
 #include "common/digest.hpp"
 #include "common/log.hpp"
+#include "common/record.hpp"
 
 namespace reno::sweep
 {
@@ -92,60 +88,36 @@ ResultCache::size() const
 std::string
 ResultCache::encode(const JobResult &result)
 {
-    std::string out = FormatTag;
-    out += '\n';
+    RecordWriter out;
+    out.put(FormatTag);
     for (const SimStatField &f : simResultFields())
-        out += strprintf("%s %llu\n", f.name,
-                         static_cast<unsigned long long>(
-                             statValue(result.sim, f)));
-    out += strprintf("hasCpa %d\n", result.hasCpa ? 1 : 0);
+        out.put(f.name, statValue(result.sim, f));
+    out.put("hasCpa", result.hasCpa);
     if (result.hasCpa) {
         for (unsigned b = 0; b < NumCpBuckets; ++b)
-            out += strprintf("cpa%u %llu\n", b,
-                             static_cast<unsigned long long>(
-                                 result.cpaWeights[b]));
+            out.put(strprintf("cpa%u", b), result.cpaWeights[b]);
     }
-    return out;
+    return out.take();
 }
 
 bool
-ResultCache::decode(const std::string &text, JobResult *out)
+ResultCache::decode(const std::string &text, JobResult *out,
+                    std::string *why)
 {
-    std::istringstream in(text);
-    std::string line;
-    if (!std::getline(in, line) || line != FormatTag)
-        return false;
-
+    RecordReader in(text);
     JobResult r;
-    auto expect = [&in, &line](const std::string &key,
-                               std::uint64_t *value) {
-        if (!std::getline(in, line))
-            return false;
-        const std::size_t space = line.find(' ');
-        if (space == std::string::npos ||
-            line.compare(0, space, key) != 0)
-            return false;
-        try {
-            *value = std::stoull(line.substr(space + 1));
-        } catch (...) {
-            return false;
-        }
-        return true;
-    };
-
-    for (const SimStatField &f : simResultFields()) {
-        if (!expect(f.name, &statRef(r.sim, f)))
-            return false;
-    }
-    std::uint64_t has_cpa = 0;
-    if (!expect("hasCpa", &has_cpa))
-        return false;
-    r.hasCpa = has_cpa != 0;
+    in.get(FormatTag);
+    for (const SimStatField &f : simResultFields())
+        in.get(f.name, statRef(r.sim, f));
+    in.get("hasCpa", r.hasCpa);
     if (r.hasCpa) {
-        for (unsigned b = 0; b < NumCpBuckets; ++b) {
-            if (!expect(strprintf("cpa%u", b), &r.cpaWeights[b]))
-                return false;
-        }
+        for (unsigned b = 0; b < NumCpBuckets; ++b)
+            in.get(strprintf("cpa%u", b), r.cpaWeights[b]);
+    }
+    if (!in.finish()) {
+        if (why)
+            *why = in.error();
+        return false;
     }
     *out = r;
     return true;
@@ -154,14 +126,13 @@ ResultCache::decode(const std::string &text, JobResult *out)
 bool
 ResultCache::loadFromDisk(std::uint64_t digest, JobResult *out)
 {
-    std::ifstream in(pathFor(digest));
-    if (!in)
+    std::string text;
+    if (!readFile(pathFor(digest), &text))
         return false;
-    std::stringstream buf;
-    buf << in.rdbuf();
-    if (!decode(buf.str(), out)) {
-        warn("result cache: ignoring malformed entry %s",
-             pathFor(digest).c_str());
+    std::string why;
+    if (!decode(text, out, &why)) {
+        warn("result cache: ignoring malformed entry %s (%s)",
+             pathFor(digest).c_str(), why.c_str());
         return false;
     }
     return true;
@@ -170,32 +141,9 @@ ResultCache::loadFromDisk(std::uint64_t digest, JobResult *out)
 void
 ResultCache::storeToDisk(std::uint64_t digest, const JobResult &result)
 {
-    std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-    if (ec) {
-        warn("result cache: cannot create '%s': %s", dir_.c_str(),
-             ec.message().c_str());
-        return;
-    }
-    // Write-then-rename so a concurrent reader never sees a torn file.
-    const std::string path = pathFor(digest);
-    const std::string tmp =
-        path + strprintf(".tmp%llu",
-                         static_cast<unsigned long long>(digest));
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out) {
-            warn("result cache: cannot write '%s'", tmp.c_str());
-            return;
-        }
-        out << encode(result);
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        warn("result cache: rename to '%s' failed: %s", path.c_str(),
-             ec.message().c_str());
-        std::filesystem::remove(tmp, ec);
-    }
+    std::string why;
+    if (!writeFileAtomic(pathFor(digest), encode(result), &why))
+        warn("result cache: %s", why.c_str());
 }
 
 } // namespace reno::sweep

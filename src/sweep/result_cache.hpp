@@ -9,7 +9,11 @@
  * The in-memory map is always active; when constructed with a
  * directory, every stored result is also persisted as one small text
  * file per digest, and lookups fall back to disk -- a warm directory
- * lets a repeated figure campaign skip simulation entirely.
+ * lets a repeated figure campaign skip simulation entirely. Files use
+ * the cache directory's strict record grammar and atomic
+ * write-then-rename store (common/record.hpp), shared with
+ * sample::CheckpointStore; a malformed file is ignored with a warning
+ * naming the reason, and the result is recomputed.
  */
 #pragma once
 
@@ -51,11 +55,16 @@ class ResultCache
     std::size_t size() const;
     const std::string &dir() const { return dir_; }
 
-    /** Serialize a result to the persistence text format. */
+    /** Serialize a result to the persistence format (common/record.hpp
+     *  records: the format tag, every registry field, hasCpa, then
+     *  the CPA weights when present). */
     static std::string encode(const JobResult &result);
 
-    /** Parse the persistence format; returns false on any mismatch. */
-    static bool decode(const std::string &text, JobResult *out);
+    /** Parse the persistence format strictly: anything encode() could
+     *  not have produced returns false (and, when @p why is non-null,
+     *  names the offending line and reason). */
+    static bool decode(const std::string &text, JobResult *out,
+                       std::string *why = nullptr);
 
   private:
     std::string pathFor(std::uint64_t digest) const;

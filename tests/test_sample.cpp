@@ -12,15 +12,24 @@
  * 2 and 4 cores, multi-core checkpoints only accelerate, validation
  * reports per-core errors, the single-core report format is
  * untouched, and malformed checkpoint files die with a named reason.
+ * A seeded mutation harness drives every on-disk decoder (checkpoint,
+ * result, profile) with hostile inputs, and forked writers race a
+ * reader over one shared cache directory.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <set>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "common/digest.hpp"
 #include "common/log.hpp"
+#include "common/rng.hpp"
 #include "harness/experiment.hpp"
 #include "sample/checkpoint.hpp"
 #include "sample/interval.hpp"
@@ -941,4 +950,303 @@ TEST(CheckpointRejection, CorruptPerCoreBlocksDieNamingTheCore)
                                               params.bpred, 2),
                  "checkpoint decode failed: corrupt functional block "
                  "\\(core 1\\)");
+}
+
+// ---- on-disk decoder mutation harness -------------------------------
+
+namespace
+{
+
+/**
+ * Mutants of one encoding. Every record key's first line has its
+ * first three numeric tokens respelled non-canonically, as an
+ * overflow, and as a count too large to allocate; on top of that, a
+ * seeded sample of truncations at and between line boundaries,
+ * single-byte flips, deleted or duplicated lines, and respellings of
+ * numeric tokens anywhere.
+ */
+std::vector<std::string>
+mutants(const std::string &text, std::uint64_t seed)
+{
+    constexpr int Sampled = 16;
+    static const char *const Respellings[] = {
+        "-1", "12x4", "0012", " 5", "99999999999999999999",
+        "99999999999999"};
+    std::vector<std::string> out;
+    const auto respell = [&](std::size_t begin, std::size_t end) {
+        for (const char *r : Respellings)
+            out.push_back(std::string(text).replace(begin, end - begin, r));
+    };
+
+    std::vector<std::size_t> lines;
+    std::vector<std::pair<std::size_t, std::size_t>> numbers;
+    std::set<std::string> keys;
+    for (std::size_t b = 0; b < text.size();) {
+        const std::size_t e = std::min(text.find('\n', b), text.size());
+        lines.push_back(b);
+        std::size_t tok = std::min(text.find(' ', b), e);
+        const bool first = keys.insert(text.substr(b, tok - b)).second;
+        for (int taken = 0; tok < e;) {
+            const std::size_t end = std::min(text.find(' ', tok + 1), e);
+            const std::string v = text.substr(tok + 1, end - tok - 1);
+            const bool numeric =
+                !v.empty() && v.size() <= 20 &&
+                v.find_first_not_of("-0123456789") == std::string::npos;
+            if (numeric) {
+                numbers.emplace_back(tok + 1, end);
+                if (first && taken++ < 3)
+                    respell(tok + 1, end);
+            }
+            tok = end;
+        }
+        b = e + 1;
+    }
+
+    Rng rng(seed);
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng.below(n));
+    };
+    for (int i = 0; i < Sampled; ++i) {
+        const std::size_t line = pick(lines.size());
+        const std::size_t begin = lines[line];
+        const std::size_t end =
+            line + 1 < lines.size() ? lines[line + 1] : text.size();
+        out.push_back(text.substr(0, begin));
+        out.push_back(text.substr(0, pick(text.size())));
+        std::string flipped = text;
+        flipped[pick(text.size())] ^= static_cast<char>(1 + pick(255));
+        out.push_back(flipped);
+        out.push_back(text.substr(0, begin) + text.substr(end));
+        std::string duplicated = text;
+        duplicated.insert(end, text, begin, end - begin);
+        out.push_back(duplicated);
+        if (!numbers.empty()) {
+            const auto [tok_begin, tok_end] =
+                numbers[pick(numbers.size())];
+            respell(tok_begin, tok_end);
+        }
+    }
+    return out;
+}
+
+/** Every mutant of a checkpoint -- as found and resealed with a
+ *  recomputed digest, so it reaches the structural parser -- either
+ *  decodes or is rejected with a reason; none aborts. */
+void
+expectCheckpointMutantsRejectedCleanly(const std::string &text,
+                                       const CoreParams &params,
+                                       unsigned cores,
+                                       std::uint64_t seed)
+{
+    std::size_t resealed_rejections = 0;
+    for (const std::string &m : mutants(text, seed)) {
+        const std::string resealed = redigest(m);
+        for (const std::string *input : {&m, &resealed}) {
+            SampleCheckpoint out;
+            std::string why;
+            if (!CheckpointStore::decode(*input, params.mem, params.bpred,
+                                         &out, cores, &why)) {
+                EXPECT_FALSE(why.empty());
+                resealed_rejections += input == &resealed;
+            }
+        }
+    }
+    EXPECT_GT(resealed_rejections, 0u)
+        << "no mutant reached a structural rejection";
+}
+
+} // namespace
+
+TEST(DecoderMutation, CheckpointsRejectHostileInputWithAReason)
+{
+    const Workload &w = workloadByName("epic");
+    const CoreParams one = baseParams();
+    EmulatorSet solo = makeEmulators(w, 1);
+    WarmState solo_warm(one.mem, one.bpred);
+    warmStep(solo.cores, solo_warm, 20'000);
+    expectCheckpointMutantsRejectedCleanly(
+        CheckpointStore::encode(multiCkpt(solo, solo_warm)), one, 1, 1);
+
+    NamedConfig two;
+    ASSERT_TRUE(configByName("RENO/2c/tage/itt", CoreParams::fourWide(),
+                             &two));
+    ASSERT_EQ(two.params.sys.numCores, 2u);
+    EmulatorSet pair = makeEmulators(w, 2);
+    WarmState pair_warm(two.params.mem, two.params.bpred, 2);
+    warmStep(pair.cores, pair_warm, 8000);
+    expectCheckpointMutantsRejectedCleanly(
+        CheckpointStore::encode(multiCkpt(pair, pair_warm)), two.params,
+        2, 2);
+}
+
+TEST(DecoderMutation, CheckpointCountsNeverSizeAllocations)
+{
+    // Resealed counts far beyond the file's contents: named
+    // rejections, not an allocation failure.
+    const Workload &w = workloadByName("epic");
+    const CoreParams params = baseParams();
+    EmulatorSet emus = makeEmulators(w, 1);
+    WarmState warm(params.mem, params.bpred);
+    warmStep(emus.cores, warm, 20'000);
+    const std::string text = CheckpointStore::encode(multiCkpt(emus, warm));
+    const auto rejects = [&](const std::string &from,
+                             const std::string &to, const char *why) {
+        std::string bad = text;
+        const std::size_t at = bad.find(from);
+        ASSERT_NE(at, std::string::npos) << from;
+        bad.replace(at, from.size(), to);
+        SampleCheckpoint out;
+        std::string reason;
+        EXPECT_FALSE(CheckpointStore::decode(redigest(bad), params.mem,
+                                             params.bpred, &out, 1,
+                                             &reason));
+        EXPECT_EQ(reason, why);
+    };
+    rejects("\ndtab ", "\ndtab 99999999999999 ",
+            "corrupt per-core predictor block (core 0)");
+    const std::size_t l2 = text.find("\ncache l2 ");
+    ASSERT_NE(l2, std::string::npos);
+    rejects(text.substr(l2, text.find('\n', l2 + 1) - l2),
+            "\ncache l2 0 999999999999999 0",
+            "corrupt shared-level block ('l2')");
+}
+
+TEST(DecoderMutation, AcceptedResultsAndProfilesReencodeIdentically)
+{
+    sweep::Job job;
+    job.workload = &workloadByName("crafty");
+    job.config = {"BASE", baseParams()};
+    job.wantCpa = true;
+    const sweep::JobResult result = sweep::executeJob(job);
+    ASSERT_TRUE(result.hasCpa);
+    const std::string result_text = sweep::ResultCache::encode(result);
+
+    FuncProfile profile;
+    profile.totalInsts = result.sim.retired;
+    profile.memDigest = 0x0123456789abcdefull;
+    const std::string profile_text = CheckpointStore::encodeProfile(profile);
+
+    // (EXPECT_TRUE, not EXPECT_EQ: a failure names the mutant instead
+    // of printing two whole files.)
+    std::size_t rejected = 0;
+    const std::vector<std::string> results = mutants(result_text, 3);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        sweep::JobResult back;
+        std::string why;
+        if (sweep::ResultCache::decode(results[i], &back, &why))
+            EXPECT_TRUE(sweep::ResultCache::encode(back) == results[i])
+                << "result mutant " << i << " decodes but re-encodes "
+                << "differently";
+        else
+            rejected += !why.empty();
+    }
+    const std::vector<std::string> profiles = mutants(profile_text, 4);
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+        FuncProfile back;
+        std::string why;
+        if (CheckpointStore::decodeProfile(profiles[i], &back, &why))
+            EXPECT_TRUE(CheckpointStore::encodeProfile(back) == profiles[i])
+                << "profile mutant " << i << " decodes but re-encodes "
+                << "differently";
+        else
+            rejected += !why.empty();
+    }
+    EXPECT_GT(rejected, 0u);
+
+    // The lenient spellings the old parsers took are all refused.
+    for (const char *bad : {"12x4", "-1", "0012", " 5", "0x10"}) {
+        std::string r = result_text;
+        const std::size_t at = r.find("\ncycles ") + 8;
+        r.replace(at, r.find('\n', at) - at, bad);
+        sweep::JobResult back;
+        EXPECT_FALSE(sweep::ResultCache::decode(r, &back)) << bad;
+        std::string p = profile_text;
+        const std::size_t pat = p.find("\ninsts ") + 7;
+        p.replace(pat, p.find('\n', pat) - pat, bad);
+        FuncProfile pback;
+        EXPECT_FALSE(CheckpointStore::decodeProfile(p, &pback)) << bad;
+    }
+}
+
+// ---- one --cache-dir shared by concurrent processes -----------------
+
+TEST(SharedCacheDir, ConcurrentWritersNeverTearAReader)
+{
+    namespace fs = std::filesystem;
+    const std::string dir = ::testing::TempDir() + "reno_shared_cache";
+    fs::remove_all(dir);
+    const Workload &w = workloadByName("epic");
+    const CoreParams params = baseParams();
+    EmulatorSet emus = makeEmulators(w, 1);
+    WarmState warm(params.mem, params.bpred);
+    warmStep(emus.cores, warm, 20'000);
+    const EmuCheckpoint snap = emus.cores[0]->checkpoint();
+    sweep::JobResult result;
+    result.sim.cycles = 123456;
+    result.sim.retired = 7890;
+    result.hasCpa = true;
+    result.cpaWeights = {10, 20, 30, 40, 50};
+    constexpr std::uint64_t Digest = 0x5eed;
+
+    // Every read below has an entry to find from the start, and every
+    // process (writers included) logs to one file.
+    std::FILE *log = std::tmpfile();
+    ASSERT_NE(log, nullptr);
+    std::FILE *prev_sink = setLogSink(log);
+    CheckpointStore(dir).store(w, 20'000, snap, warm);
+    sweep::ResultCache(dir).store(Digest, result);
+    std::fflush(nullptr);
+
+    constexpr int Writers = 3;
+    constexpr int StoresPerWriter = 60;
+    std::vector<pid_t> writers;
+    for (int i = 0; i < Writers; ++i) {
+        const pid_t pid = fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            for (int s = 0; s < StoresPerWriter; ++s) {
+                CheckpointStore(dir).store(w, 20'000, snap, warm);
+                sweep::ResultCache(dir).store(Digest, result);
+            }
+            std::fflush(nullptr);
+            _exit(0);
+        }
+        writers.push_back(pid);
+    }
+
+    int reads = 0, unusable = 0, running = Writers;
+    while (running > 0 || reads < 100) {
+        sweep::JobResult back;
+        const bool ckpt_ok = CheckpointStore(dir)
+                                 .lookup(w, 20'000, params.mem,
+                                         params.bpred)
+                                 .usable();
+        const bool result_ok =
+            sweep::ResultCache(dir).lookup(Digest, &back) &&
+            back.sim.cycles == result.sim.cycles;
+        unusable += !ckpt_ok || !result_ok;
+        ++reads;
+        for (pid_t &pid : writers) {
+            int status = 0;
+            if (pid != 0 && waitpid(pid, &status, WNOHANG) == pid) {
+                EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+                pid = 0;
+                --running;
+            }
+        }
+    }
+    setLogSink(prev_sink);
+
+    std::string logged;
+    std::rewind(log);
+    for (int c; (c = std::fgetc(log)) != EOF;)
+        logged += static_cast<char>(c);
+    std::fclose(log);
+    EXPECT_EQ(unusable, 0) << "of " << reads << " reads";
+    EXPECT_EQ(logged, "") << "no malformed entry and no failed rename";
+    for (const auto &entry : fs::directory_iterator(dir))
+        EXPECT_EQ(entry.path().filename().string().find(".tmp"),
+                  std::string::npos)
+            << entry.path();
+    fs::remove_all(dir);
 }

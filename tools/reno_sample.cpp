@@ -53,10 +53,6 @@ usage(const char *argv0)
         "                           System (1..%u; equivalent to a /Nc\n"
         "                           suffix; interval boundaries are\n"
         "                           aggregate retired instructions)\n"
-        "  --emu interp|decoded     functional-emulator engine\n"
-        "                           (default decoded superblocks;\n"
-        "                           interp = per-step; bit-exact\n"
-        "                           either way)\n"
         "\n"
         "sampling plan:\n"
         "  --sample N               measured intervals per program"
@@ -190,15 +186,6 @@ main(int argc, char **argv)
                 width = 6;
             else
                 fatal("--width expects 4 or 6, got '%s'", v.c_str());
-        } else if (matches("--emu")) {
-            const std::string v = value("--emu");
-            if (v == "interp")
-                setDefaultDecodedExec(false);
-            else if (v == "decoded")
-                setDefaultDecodedExec(true);
-            else
-                fatal("--emu expects interp or decoded, got '%s'",
-                      v.c_str());
         } else if (matches("--cores")) {
             cores = static_cast<unsigned>(parseCount(
                 "--cores", value("--cores"), 1, SysParams::MaxCores));

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/log.hpp"
-#include "emu/emulator.hpp"
 #include "harness/experiment.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
@@ -48,10 +47,6 @@ usage(const char *argv0)
         "                           /Nc config suffix; 1..8)\n"
         "  --cpa                    critical-path analysis per job\n"
         "                           (single-core only)\n"
-        "  --emu interp|decoded     functional-emulator engine\n"
-        "                           (default decoded superblocks;\n"
-        "                           interp = per-step; bit-exact\n"
-        "                           either way)\n"
         "\n"
         "execution:\n"
         "  --jobs N                 worker threads (default: RENO_JOBS"
@@ -195,15 +190,6 @@ main(int argc, char **argv)
                 fatal("--width expects 4 or 6, got '%s'", v.c_str());
         } else if (arg == "--cpa") {
             want_cpa = true;
-        } else if (matches("--emu")) {
-            const std::string v = value("--emu");
-            if (v == "interp")
-                setDefaultDecodedExec(false);
-            else if (v == "decoded")
-                setDefaultDecodedExec(true);
-            else
-                fatal("--emu expects interp or decoded, got '%s'",
-                      v.c_str());
         } else if (matches("--report")) {
             const std::string v = value("--report");
             const auto f = sweep::reportFormatFromName(v);
