@@ -7,8 +7,10 @@
  * results into the paper's tables.
  *
  * Every binary takes its workloads from benchmarkSuites() and parses
- * the engine's standard flags with sweep::parseCampaignArgs():
- *   --jobs N        worker threads (default: RENO_JOBS or all cores)
+ * its command line with sweep::parseCampaignArgs(), which accepts the
+ * engine's standard flags and nothing else (an unknown or misspelled
+ * flag exits 1 naming it):
+ *   --jobs N        worker threads (default: all cores)
  *   --cache-dir D   persist results; a warm cache skips simulation
  *   --sweep-stats   print an execution summary to stderr
  */

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
 #include "sample/sampler.hpp"
@@ -109,20 +110,12 @@ main(int argc, char **argv)
 {
     std::string suite = "multi";
     std::string out = "BENCH_sample.json";
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("%s needs a value", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--suite")
-            suite = value();
-        else if (arg == "--out")
-            out = value();
-        else
-            fatal("unknown flag %s (try --suite/--out)", arg.c_str());
-    }
+    cli::Parser parser;
+    parser.text("--suite S", "workload suite to sample (default multi)",
+                &suite);
+    parser.text("--out FILE", "JSON artifact path (default "
+                "BENCH_sample.json)", &out);
+    parser.parse(argc, argv);
 
     const auto workloads = suiteWorkloads(suite);
     std::printf("sample_throughput: %zu '%s' workloads, sampled vs "

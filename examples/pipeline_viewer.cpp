@@ -11,7 +11,7 @@
  *
  * Usage:
  *   pipeline_viewer                        # demo snippet, full RENO
- *   pipeline_viewer --config base          # demo without RENO
+ *   pipeline_viewer --config BASE          # demo without RENO
  *   pipeline_viewer --workload gzip        # window of a real workload
  *   pipeline_viewer --skip 2000 --n 48     # choose the window
  */
@@ -19,6 +19,7 @@
 #include <string>
 
 #include "asm/assembler.hpp"
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
 #include "trace/pipetrace.hpp"
@@ -78,58 +79,39 @@ loop:
         syscall
 )";
 
-RenoConfig
-configByName(const std::string &name)
-{
-    if (name == "base")
-        return RenoConfig::baseline();
-    if (name == "me")
-        return RenoConfig::meOnly();
-    if (name == "mecf")
-        return RenoConfig::meCf();
-    if (name == "reno")
-        return RenoConfig::full();
-    fatal("unknown config '%s' (base|me|mecf|reno)", name.c_str());
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string config = "reno";
+    std::string config = "RENO";
     std::string workload_name;
     std::uint64_t skip = 0;
     std::uint64_t count = 40;
     unsigned width = 72;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--config")
-            config = next();
-        else if (arg == "--workload")
-            workload_name = next();
-        else if (arg == "--skip")
-            skip = std::stoull(next());
-        else if (arg == "--n")
-            count = std::stoull(next());
-        else if (arg == "--width")
-            width = static_cast<unsigned>(std::stoul(next()));
-        else
-            fatal("unknown option %s", arg.c_str());
-    }
+    cli::Parser parser;
+    parser.text("--config NAME", "configuration, as in reno-sweep "
+                "--list-configs (default RENO)", &config);
+    parser.text("--workload NAME", "trace a window of a real workload "
+                "(default: the demo snippet)", &workload_name);
+    parser.count("--skip N", "retired instructions before the window",
+                 &skip, 0);
+    parser.count("--n N", "instructions in the window (default 40)",
+                 &count);
+    parser.count("--width N", "diagram width in columns (default 72)",
+                 &width);
+    parser.parse(argc, argv);
 
     Workload demo{"demo", "example", demo_source};
     const Workload &w = workload_name.empty()
         ? demo : workloadByName(workload_name);
 
-    CoreParams params;
-    params.reno = configByName(config);
+    const CoreParams params =
+        configsByName({config}, CoreParams{}).front().params;
+    if (params.sys.numCores > 1)
+        fatal("pipeline_viewer traces one core; '%s' runs %u",
+              config.c_str(), params.sys.numCores);
     if (workload_name.empty() && skip == 0)
         skip = 220;  // land the demo window inside the main loop
 

@@ -7,7 +7,7 @@
  * Usage:
  *   run_asm program.s                 # functional run only
  *   run_asm --sim program.s           # + timing simulation (full RENO)
- *   run_asm --sim --config base x.s   # + chosen configuration
+ *   run_asm --sim --config BASE x.s   # + chosen configuration
  */
 #include <cstdio>
 #include <fstream>
@@ -15,8 +15,10 @@
 #include <string>
 
 #include "asm/assembler.hpp"
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "emu/emulator.hpp"
+#include "harness/experiment.hpp"
 #include "uarch/core.hpp"
 
 using namespace reno;
@@ -25,22 +27,22 @@ int
 main(int argc, char **argv)
 {
     std::string path;
-    std::string config = "reno";
+    std::string config = "RENO";
     bool sim = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--sim") {
-            sim = true;
-        } else if (arg == "--config") {
-            if (i + 1 >= argc)
-                fatal("--config needs a value");
-            config = argv[++i];
-        } else {
-            path = arg;
-        }
-    }
+    cli::Parser parser;
+    parser.add("FILE", cli::Value::Positional, "the assembly program",
+               [&path](const std::string &v) { path = v; });
+    parser.flag("--sim", "also simulate on the timing core", &sim);
+    parser.text("--config NAME", "configuration for --sim, as in "
+                "reno-sweep --list-configs (default RENO)", &config);
+    parser.parse(argc, argv);
     if (path.empty())
-        fatal("usage: run_asm [--sim] [--config <name>] program.s");
+        fatal("missing program FILE (try --help)");
+    const CoreParams params =
+        configsByName({config}, CoreParams{}).front().params;
+    if (params.sys.numCores > 1)
+        fatal("run_asm simulates one core; '%s' runs %u",
+              config.c_str(), params.sys.numCores);
 
     std::ifstream in(path);
     if (!in)
@@ -66,18 +68,6 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(emu.exitCode()));
         return static_cast<int>(emu.exitCode());
     }
-
-    CoreParams params;
-    if (config == "base")
-        params.reno = RenoConfig::baseline();
-    else if (config == "me")
-        params.reno = RenoConfig::meOnly();
-    else if (config == "mecf")
-        params.reno = RenoConfig::meCf();
-    else if (config == "reno")
-        params.reno = RenoConfig::full();
-    else
-        fatal("unknown config '%s'", config.c_str());
 
     Core core(params, emu);
     const SimResult r = core.run();

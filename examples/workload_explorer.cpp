@@ -5,19 +5,14 @@
  * including functional-vs-timing state cross-checks and an optional
  * critical-path breakdown.
  *
- * Usage:
+ * Usage (workload_explorer --help lists every option):
  *   workload_explorer [options] <workload|spec|media|all>
- * Options:
- *   --config base|me|mecf|reno|fullit|integ|loadsinteg   (default reno)
- *   --width 4|6              machine width        (default 4)
- *   --pregs N                physical registers   (default 160)
- *   --schedloop N            wakeup/select cycles (default 1)
- *   --critpath               print the critical-path breakdown
+ *   workload_explorer --config LoadsInteg --critpath gzip
  */
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
 
@@ -26,31 +21,11 @@ using namespace reno;
 namespace
 {
 
-RenoConfig
-configByName(const std::string &name)
-{
-    if (name == "base")
-        return RenoConfig::baseline();
-    if (name == "me")
-        return RenoConfig::meOnly();
-    if (name == "mecf")
-        return RenoConfig::meCf();
-    if (name == "reno")
-        return RenoConfig::full();
-    if (name == "fullit")
-        return RenoConfig::fullIt();
-    if (name == "integ")
-        return RenoConfig::integrationOnly();
-    if (name == "loadsinteg")
-        return RenoConfig::loadsIntegrationOnly();
-    fatal("unknown config '%s'", name.c_str());
-}
-
 void
 runOne(const Workload &w, const CoreParams &params, bool critpath)
 {
     // Functional reference.
-    const RunOutput ref = runFunctional(w);
+    const RunOutput ref = runFunctionalMulti(w, params.sys.numCores);
 
     CriticalPathAnalyzer cpa;
     const RunOutput out =
@@ -96,38 +71,33 @@ int
 main(int argc, char **argv)
 {
     std::string target = "all";
-    std::string config = "reno";
-    unsigned width = 4;
+    std::string config = "RENO";
+    CoreParams base = CoreParams::fourWide();
     unsigned pregs = 160;
     unsigned schedloop = 1;
     bool critpath = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--config")
-            config = next();
-        else if (arg == "--width")
-            width = static_cast<unsigned>(std::stoul(next()));
-        else if (arg == "--pregs")
-            pregs = static_cast<unsigned>(std::stoul(next()));
-        else if (arg == "--schedloop")
-            schedloop = static_cast<unsigned>(std::stoul(next()));
-        else if (arg == "--critpath")
-            critpath = true;
-        else
-            target = arg;
-    }
+    cli::Parser parser;
+    parser.add("TARGET", cli::Value::Positional,
+               "a workload, spec, media or all (default all)",
+               [&target](const std::string &v) { target = v; });
+    parser.text("--config NAME", "configuration, as in reno-sweep "
+                "--list-configs (default RENO)", &config);
+    parser.add("--width W", cli::Value::Required,
+               "machine width, 4 or 6 (default 4)",
+               [&base](const std::string &v) { base = machineOfWidth(v); });
+    parser.count("--pregs N", "physical registers (default 160)",
+                 &pregs);
+    parser.count("--schedloop N", "wakeup/select cycles (default 1)",
+                 &schedloop);
+    parser.flag("--critpath", "print the critical-path breakdown",
+                &critpath);
+    parser.parse(argc, argv);
 
-    CoreParams params =
-        width == 6 ? CoreParams::sixWide() : CoreParams::fourWide();
-    params.numPregs = pregs;
-    params.schedLoop = schedloop;
-    params.reno = configByName(config);
+    base.numPregs = pregs;
+    base.schedLoop = schedloop;
+    const CoreParams params =
+        configsByName({config}, base).front().params;
 
     if (target == "all" || target == "spec" || target == "media") {
         for (const Workload &w : allWorkloads()) {

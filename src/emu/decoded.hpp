@@ -103,7 +103,7 @@ struct DecodedBlock {
 };
 
 /** Cumulative block-cache statistics (surfaced through the obs
- *  MetricsRegistry and reno-sample --perf-json). */
+ *  MetricsRegistry, i.e. --metrics-json). */
 struct BlockCacheStats {
     std::uint64_t lookups = 0;          //!< block fetches by entry pc
     std::uint64_t hits = 0;             //!< served without decoding

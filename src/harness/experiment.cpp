@@ -117,6 +117,14 @@ foldFunctional(const EmulatorSet &emus, RunOutput &out)
 } // namespace
 
 CoreParams
+machineOfWidth(const std::string &width)
+{
+    if (width != "4" && width != "6")
+        fatal("--width expects 4 or 6, got '%s'", width.c_str());
+    return width == "6" ? CoreParams::sixWide() : CoreParams::fourWide();
+}
+
+CoreParams
 withReno(CoreParams params, const RenoConfig &reno)
 {
     params.reno = reno;
@@ -242,13 +250,13 @@ applyBpredVariant(const std::string &token, CoreParams *params)
     // so a bad token reads as "unknown variant" up front instead of
     // aborting mid-campaign.
     if (unsigned n = 0; numericSuffix(token, "ras", &n)) {
-        if (n == 0)
+        if (n == 0 || n > MaxBpredEntries)
             return false;
         params->bpred.ras.entries = n;
         return true;
     }
     if (unsigned n = 0; numericSuffix(token, "btb", &n)) {
-        if (n == 0 || (n & (n - 1)) != 0)
+        if (n == 0 || (n & (n - 1)) != 0 || n > MaxBpredEntries)
             return false;
         params->bpred.btb.entries = n;
         if (params->bpred.btb.assoc > n)
@@ -417,8 +425,10 @@ renderConfigList()
     out += "memory variants (append as /token, e.g. RENO/l3/wb):\n";
     for (const std::string &name : memVariantNames())
         out += "  /" + name + "\n";
-    out += "branch-prediction variants (append as /token, e.g. "
-           "RENO/tage or BASE/perceptron/ras16):\n";
+    out += strprintf("branch-prediction variants (append as /token, "
+                     "e.g. RENO/tage or BASE/perceptron/ras16; N up "
+                     "to %u):\n",
+                     MaxBpredEntries);
     for (const std::string &name : bpredVariantNames())
         out += "  /" + name + "\n";
     out += strprintf("multi-core variants (append as /token, e.g. "
@@ -426,6 +436,19 @@ renderConfigList()
                      SysParams::MaxCores);
     for (const std::string &name : sysVariantNames())
         out += "  /" + name + "\n";
+    return out;
+}
+
+std::string
+renderWorkloadList()
+{
+    std::string out = "workloads:\n";
+    for (const SuiteInfo &s : knownSuites()) {
+        for (const Workload *w : suiteWorkloads(s.name))
+            out += strprintf("  %-18s (%s, seed %llu)\n",
+                             w->name.c_str(), w->suite.c_str(),
+                             static_cast<unsigned long long>(w->seed));
+    }
     return out;
 }
 

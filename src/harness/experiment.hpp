@@ -41,6 +41,10 @@ struct RunOutput {
     obs::CpiReport cpi;
 };
 
+/** The --width machine: CoreParams::fourWide() for "4",
+ *  sixWide() for "6"; fatal() on anything else. */
+CoreParams machineOfWidth(const std::string &width);
+
 /** Apply a RENO configuration to a core configuration. */
 CoreParams withReno(CoreParams params, const RenoConfig &reno);
 
@@ -112,11 +116,17 @@ bool applyMemVariant(const std::string &token, CoreParams *params);
  * suffixes:
  *  - "bimodal", "gshare", "tournament", "tage", "perceptron":
  *    select the direction engine (tournament is the paper default);
- *  - "ras<N>":  an N-entry return-address stack (e.g. "ras16");
- *  - "btb<N>":  an N-entry BTB (associativity capped at N);
+ *  - "ras<N>":  an N-entry return-address stack (e.g. "ras16"),
+ *    1 <= N <= MaxBpredEntries;
+ *  - "btb<N>":  an N-entry BTB (associativity capped at N), N a
+ *    power of two <= MaxBpredEntries;
  *  - "itt":     enable the 512-entry indirect-target table.
  */
 std::vector<std::string> bpredVariantNames();
+
+/** Ceiling of the ras<N> / btb<N> sizes: a larger N reads as an
+ *  unknown variant, never as a table too large to allocate. */
+inline constexpr unsigned MaxBpredEntries = 1u << 16;
 
 /** Apply one variant token to @p params; false if unknown. */
 bool applyBpredVariant(const std::string &token, CoreParams *params);
@@ -141,10 +151,13 @@ std::vector<std::pair<std::string, std::vector<const Workload *>>>
 benchmarkSuites();
 
 /**
- * Human-readable listings backing the drivers' --list-configs /
- * --list-suites flags: every configByName() preset, and every suite
- * token suiteWorkloads() accepts with its workload count.
+ * Human-readable listings backing the drivers' --list /
+ * --list-configs / --list-suites flags: every workload a selection
+ * flag accepts (one "  name (suite, seed N)" line each, grouped by
+ * knownSuites()), every configByName() preset and variant, and every
+ * suite token suiteWorkloads() accepts with its workload count.
  */
+std::string renderWorkloadList();
 std::string renderConfigList();
 std::string renderSuiteList();
 

@@ -50,7 +50,7 @@ class Counter
     std::atomic<std::uint64_t> value_{0};
 };
 
-/** Last-written instantaneous value. */
+/** Last-written instantaneous value, or a running total (add). */
 class Gauge
 {
   public:
@@ -58,6 +58,12 @@ class Gauge
     set(double v)
     {
         value_.store(v, std::memory_order_relaxed);
+    }
+
+    void
+    add(double v)
+    {
+        value_.fetch_add(v, std::memory_order_relaxed);
     }
 
     double

@@ -1,76 +1,35 @@
 #include "obs/phase.hpp"
 
-#include <algorithm>
+#include "obs/metrics.hpp"
 
 namespace reno::obs
 {
 
-PhaseStats &
-PhaseStats::instance()
+std::atomic<Clock *> detail::phaseClock{nullptr};
+
+void
+enablePhaseAccounting(Clock *clock)
 {
-    static PhaseStats stats;
-    return stats;
+    detail::phaseClock.store(clock ? clock : &steadyClock(),
+                             std::memory_order_relaxed);
 }
 
 void
-PhaseStats::enable(Clock *clock)
+disablePhaseAccounting()
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        clock_ = clock ? clock : &steadyClock();
-    }
-    enabled_.store(true, std::memory_order_relaxed);
+    detail::phaseClock.store(nullptr, std::memory_order_relaxed);
 }
 
 void
-PhaseStats::disable()
+detail::recordPhase(const std::string &name, std::uint64_t micros,
+                    std::uint64_t insts)
 {
-    enabled_.store(false, std::memory_order_relaxed);
-}
-
-Clock &
-PhaseStats::clock()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return clock_ ? *clock_ : steadyClock();
-}
-
-void
-PhaseStats::add(const std::string &phase, std::uint64_t micros,
-                std::uint64_t insts)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto &[name, totals] : totals_) {
-        if (name == phase) {
-            totals.micros += micros;
-            totals.insts += insts;
-            ++totals.count;
-            return;
-        }
-    }
-    totals_.push_back({phase, PhaseTotals{micros, insts, 1}});
-}
-
-std::vector<std::pair<std::string, PhaseTotals>>
-PhaseStats::snapshot() const
-{
-    std::vector<std::pair<std::string, PhaseTotals>> out;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        out = totals_;
-    }
-    std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    return out;
-}
-
-void
-PhaseStats::reset()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    totals_.clear();
+    auto &registry = MetricsRegistry::instance();
+    const std::string prefix = "phase." + name;
+    registry.gauge(prefix + ".seconds")
+        .add(static_cast<double>(micros) / 1e6);
+    registry.counter(prefix + ".insts").inc(insts);
+    registry.counter(prefix + ".count").inc();
 }
 
 } // namespace reno::obs

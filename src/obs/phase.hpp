@@ -8,24 +8,24 @@
  *
  *   - emits a begin/end span to the event tracer (obs/trace.hpp), so
  *     traces show where inside each job the time went, and
- *   - accumulates elapsed microseconds + executed instructions into
- *     the process-wide PhaseStats totals, which back the
- *     `reno-sample --perf-json` phase breakdown and the per-phase
- *     instructions/sec gauges of --metrics-json.
+ *   - records into the metrics registry (obs/metrics.hpp) the
+ *     elapsed seconds, executed instructions and span count of its
+ *     phase, as phase.<name>.seconds (a gauge) and
+ *     phase.<name>.insts / phase.<name>.count (counters) of
+ *     --metrics-json.
  *
  * Phases are leaves by convention: no PhaseSpan nests inside another,
  * so the per-phase totals are disjoint and sum to (roughly) the
- * simulation wall clock. Both facilities default off; a disabled
- * PhaseSpan costs two relaxed atomic loads.
+ * simulation wall clock. Both facilities default off (obs::Session
+ * turns accounting on for --metrics-json); a disabled PhaseSpan costs
+ * two relaxed atomic loads.
  */
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/clock.hpp"
 #include "obs/trace.hpp"
@@ -33,81 +33,43 @@
 namespace reno::obs
 {
 
-/** Aggregated wall-clock totals of one phase. */
-struct PhaseTotals {
-    std::uint64_t micros = 0;
-    std::uint64_t insts = 0;
-    std::uint64_t count = 0;  //!< spans accumulated
+/** Start recording spans, timed by @p clock (default: the steady
+ *  clock). */
+void enablePhaseAccounting(Clock *clock = nullptr);
+void disablePhaseAccounting();
 
-    double
-    instsPerSec() const
-    {
-        return micros ? static_cast<double>(insts) /
-                            (static_cast<double>(micros) / 1e6)
-                      : 0.0;
-    }
-};
-
-/** Process-wide per-phase wall-clock totals. */
-class PhaseStats
+namespace detail
 {
-  public:
-    static PhaseStats &instance();
+/** The accounting gate: the clock spans read, or null when off. */
+extern std::atomic<Clock *> phaseClock;
 
-    bool
-    enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
+/** Add one span's totals to the phase.<name>.* metrics. */
+void recordPhase(const std::string &name, std::uint64_t micros,
+                 std::uint64_t insts);
+} // namespace detail
 
-    /** Start accumulating. @p clock defaults to the steady clock. */
-    void enable(Clock *clock = nullptr);
-    void disable();
-
-    void add(const std::string &phase, std::uint64_t micros,
-             std::uint64_t insts);
-
-    /** (phase, totals) pairs, sorted by phase name. */
-    std::vector<std::pair<std::string, PhaseTotals>> snapshot() const;
-
-    void reset();
-
-    Clock &clock();
-
-  private:
-    PhaseStats() = default;
-
-    std::atomic<bool> enabled_{false};
-    mutable std::mutex mu_;
-    Clock *clock_ = nullptr;
-    std::vector<std::pair<std::string, PhaseTotals>> totals_;
-};
-
-/** RAII leaf-phase span: traces and/or accumulates (see file doc). */
+/** RAII leaf-phase span: traces and/or records (see file doc). */
 class PhaseSpan
 {
   public:
     explicit PhaseSpan(const char *name, std::string trace_args = "")
-        : name_(name)
+        : name_(name),
+          clock_(detail::phaseClock.load(std::memory_order_relaxed))
     {
         trace_ = Tracer::instance().enabled();
-        accumulate_ = PhaseStats::instance().enabled();
         if (trace_)
             Tracer::instance().begin(name_, "phase",
                                      std::move(trace_args));
-        if (accumulate_)
-            t0_ = PhaseStats::instance().clock().nowMicros();
+        if (clock_)
+            t0_ = clock_->nowMicros();
     }
 
     ~PhaseSpan()
     {
         if (trace_)
             Tracer::instance().end(name_, "phase");
-        if (accumulate_) {
-            const std::uint64_t t1 =
-                PhaseStats::instance().clock().nowMicros();
-            PhaseStats::instance().add(name_, t1 - t0_, insts_);
-        }
+        if (clock_)
+            detail::recordPhase(name_, clock_->nowMicros() - t0_, insts_);
     }
 
     PhaseSpan(const PhaseSpan &) = delete;
@@ -118,10 +80,10 @@ class PhaseSpan
 
   private:
     std::string name_;
+    Clock *clock_;
     std::uint64_t t0_ = 0;
     std::uint64_t insts_ = 0;
     bool trace_ = false;
-    bool accumulate_ = false;
 };
 
 } // namespace reno::obs

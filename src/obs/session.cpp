@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "common/cli.hpp"
+#include "common/clock.hpp"
 #include "common/log.hpp"
 #include "obs/cpistack.hpp"
 #include "obs/metrics.hpp"
@@ -13,87 +15,53 @@
 namespace reno::obs
 {
 
-ObsOptions
-parseObsArgs(int argc, char **argv)
+void
+addObsFlags(cli::Parser &parser, ObsOptions *opts)
 {
-    ObsOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            const std::string prefix = std::string(flag) + "=";
-            if (arg.rfind(prefix, 0) == 0)
-                return arg.substr(prefix.size());
-            if (arg == flag && i + 1 < argc)
-                return argv[++i];
-            return "";
-        };
-        if (arg == "--trace-out" ||
-            arg.rfind("--trace-out=", 0) == 0) {
-            opts.traceOut = value("--trace-out");
-            if (opts.traceOut.empty())
-                fatal("--trace-out expects a file path");
-        } else if (arg == "--trace-sample" ||
-                   arg.rfind("--trace-sample=", 0) == 0) {
-            opts.traceSampleCycles =
-                parseCount("--trace-sample", value("--trace-sample"));
-        } else if (arg == "--metrics-json" ||
-                   arg.rfind("--metrics-json=", 0) == 0) {
-            opts.metricsJson = value("--metrics-json");
-            if (opts.metricsJson.empty())
-                fatal("--metrics-json expects a file path");
-        } else if (arg == "--progress") {
-            opts.progress = true;
-        } else if (arg.rfind("--progress=", 0) == 0) {
-            opts.progress = true;
-            opts.progressPath =
-                arg.substr(std::string("--progress=").size());
-            if (opts.progressPath.empty())
-                fatal("--progress= expects a file path");
-        } else if (arg == "--cpi-stack") {
-            opts.cpiStack = true;
-        } else if (arg == "--profile-hot") {
-            opts.profileHot = 20;
-        } else if (arg.rfind("--profile-hot=", 0) == 0) {
-            opts.profileHot = static_cast<unsigned>(parseCount(
-                "--profile-hot=",
-                arg.substr(std::string("--profile-hot=").size()), 1,
-                std::numeric_limits<unsigned>::max()));
-        } else if (arg == "--pipetrace") {
-            opts.pipetrace = true;
-        } else if (arg.rfind("--pipetrace=", 0) == 0) {
-            opts.pipetrace = true;
-            opts.pipetracePath =
-                arg.substr(std::string("--pipetrace=").size());
-            if (opts.pipetracePath.empty())
-                fatal("--pipetrace= expects a file path");
-        }
-    }
-    if (opts.traceSampleCycles && opts.traceOut.empty())
+    parser.text("--trace-out FILE",
+                "record a Chrome trace-event / Perfetto JSON of the "
+                "run (open at ui.perfetto.dev)",
+                &opts->traceOut);
+    parser.count("--trace-sample N",
+                 "+ sample pipeline counters every N simulated cycles",
+                 &opts->traceSampleCycles);
+    parser.text("--metrics-json FILE",
+                "write host metrics: job latency, queue wait, cache "
+                "hits, phase seconds/insts, wall clock",
+                &opts->metricsJson);
+    parser.add("--progress[=FILE]", cli::Value::Optional,
+               "stream NDJSON progress heartbeats (default: stderr)",
+               [opts](const std::string &path) {
+                   opts->progress = true;
+                   opts->progressPath = path;
+               });
+    parser.flag("--cpi-stack",
+                "per-cycle CPI-stack accounting (every commit-stage "
+                "cycle lands in exactly one bucket)",
+                &opts->cpiStack);
+    parser.add("--profile-hot[=N]", cli::Value::Optional,
+               "per-PC hotspot profiling, top N (default 20)",
+               [opts](const std::string &n) {
+                   opts->profileHot =
+                       n.empty() ? 20
+                                 : static_cast<unsigned>(parseCount(
+                                       "--profile-hot=", n, 1,
+                                       std::numeric_limits<unsigned>::max()));
+               });
+    parser.add("--pipetrace[=FILE]", cli::Value::Optional,
+               "retired-instruction pipeline diagrams (default: "
+               "stderr)",
+               [opts](const std::string &path) {
+                   opts->pipetrace = true;
+                   opts->pipetracePath = path;
+               });
+}
+
+Session::Session(const ObsOptions &opts)
+    : opts_(opts), startMicros_(steadyClock().nowMicros())
+{
+    if (opts_.traceSampleCycles && opts_.traceOut.empty())
         fatal("--trace-sample requires --trace-out");
-    return opts;
-}
-
-bool
-isObsFlag(const std::string &arg, bool *takes_value)
-{
-    *takes_value = false;
-    if (arg == "--trace-out" || arg == "--trace-sample" ||
-        arg == "--metrics-json") {
-        *takes_value = true;
-        return true;
-    }
-    return arg == "--progress" || arg == "--cpi-stack" ||
-           arg == "--profile-hot" || arg == "--pipetrace" ||
-           arg.rfind("--trace-out=", 0) == 0 ||
-           arg.rfind("--trace-sample=", 0) == 0 ||
-           arg.rfind("--metrics-json=", 0) == 0 ||
-           arg.rfind("--progress=", 0) == 0 ||
-           arg.rfind("--profile-hot=", 0) == 0 ||
-           arg.rfind("--pipetrace=", 0) == 0;
-}
-
-Session::Session(const ObsOptions &opts) : opts_(opts)
-{
     if (!opts_.traceOut.empty()) {
         Tracer::instance().setCycleSampleInterval(
             opts_.traceSampleCycles);
@@ -101,7 +69,7 @@ Session::Session(const ObsOptions &opts) : opts_(opts)
         Tracer::instance().threadName("main");
     }
     if (!opts_.metricsJson.empty())
-        PhaseStats::instance().enable();
+        enablePhaseAccounting();
     if (opts_.progress) {
         std::FILE *sink = stderr;
         if (!opts_.progressPath.empty()) {
@@ -149,18 +117,12 @@ Session::~Session()
             std::fclose(progressFile_);
     }
     if (!opts_.metricsJson.empty()) {
-        // Fold the phase totals into gauges so one JSON document
-        // carries both engine metrics and the phase breakdown.
+        disablePhaseAccounting();
         auto &registry = MetricsRegistry::instance();
-        for (const auto &[phase, totals] :
-             PhaseStats::instance().snapshot()) {
-            registry.gauge(strprintf("phase.%s.seconds",
-                                     phase.c_str()))
-                .set(static_cast<double>(totals.micros) / 1e6);
-            registry.gauge(strprintf("phase.%s.minstr_per_s",
-                                     phase.c_str()))
-                .set(totals.instsPerSec() / 1e6);
-        }
+        registry.gauge("run.wall_seconds")
+            .set(static_cast<double>(steadyClock().nowMicros() -
+                                     startMicros_) /
+                 1e6);
         registry.writeJson(opts_.metricsJson);
     }
     if (!opts_.traceOut.empty()) {

@@ -1,29 +1,39 @@
 /**
  * @file
- * CLI front door for the observability layer. A driver parses the
- * standard obs flags out of argv (parseObsArgs / isObsFlag, the
- * campaign-engine idiom) and constructs one obs::Session for the
- * lifetime of the run:
+ * CLI front door for the observability layer. A driver registers the
+ * standard obs flags into its cli::Parser (addObsFlags, like the
+ * campaign engine's addCampaignFlags) and constructs one obs::Session
+ * for the lifetime of the run:
  *
  *   --trace-out FILE     record a Chrome trace-event / Perfetto JSON
  *   --trace-sample N     + sample pipeline counters every N cycles
- *   --metrics-json FILE  write the metrics registry as JSON at exit
+ *   --metrics-json FILE  write the metrics registry as JSON at exit:
+ *                        engine metrics, per-phase seconds /
+ *                        instructions / spans, the emulator's block
+ *                        cache counters and run.wall_seconds
  *   --progress[=FILE]    stream NDJSON heartbeats (default: stderr)
  *   --cpi-stack          per-cycle CPI-stack accounting (obs/cpistack)
  *   --profile-hot[=N]    per-PC hotspot profiling, top N (default 20)
  *   --pipetrace[=FILE]   retired-instruction pipeline diagrams
  *                        (default: stderr)
  *
- * Construction enables the requested facilities; destruction flushes
- * them (final progress heartbeat, phase gauges folded into the
- * metrics registry, JSON files written). Everything defaults off, and
+ * Construction checks the flags' combination (--trace-sample requires
+ * --trace-out) and enables the requested facilities; destruction
+ * flushes them (final progress heartbeat, run.wall_seconds = the
+ * session's lifetime, JSON files written). Everything defaults off, and
  * none of it perturbs simulated results: job digests, caching and
  * report output are byte-identical with the session active or not.
  */
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+
+namespace reno::cli
+{
+class Parser;
+}
 
 namespace reno::obs
 {
@@ -41,15 +51,8 @@ struct ObsOptions {
     std::string pipetracePath;  //!< "" = stderr
 };
 
-/** Parse the obs flags out of argv; unrecognized args are ignored. */
-ObsOptions parseObsArgs(int argc, char **argv);
-
-/**
- * True if @p arg is an obs flag, so drivers with strict argument
- * parsing can skip them. Sets @p *takes_value when the flag consumes
- * the following argv entry (detached form).
- */
-bool isObsFlag(const std::string &arg, bool *takes_value);
+/** Register the obs flags, which fill @p *opts. */
+void addObsFlags(cli::Parser &parser, ObsOptions *opts);
 
 /** RAII activation of the facilities requested in ObsOptions. */
 class Session
@@ -63,6 +66,7 @@ class Session
 
   private:
     ObsOptions opts_;
+    std::uint64_t startMicros_ = 0;
     std::FILE *progressFile_ = nullptr;  //!< owned when non-null
     std::FILE *pipetraceFile_ = nullptr;  //!< owned when non-null
 };

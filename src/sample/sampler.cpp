@@ -92,7 +92,7 @@ prepareWorkload(WorkloadPrep &prep,
 {
     const Workload &w = *prep.workload;
     // Trace-only wrapper: the leaf phases inside (sim.functional,
-    // sample.capture) do the PhaseStats accounting.
+    // sample.capture) do the phase accounting.
     obs::TraceSpan prep_span("sample.prepare:" + w.name, "phase");
 
     // Profile and plan once per distinct core count: the aggregate

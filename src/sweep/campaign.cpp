@@ -2,11 +2,10 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <map>
 #include <thread>
 
+#include "common/cli.hpp"
 #include "common/clock.hpp"
 #include "common/digest.hpp"
 #include "common/log.hpp"
@@ -23,57 +22,31 @@ resolveJobCount(unsigned requested)
 {
     if (requested > 0)
         return requested;
-    if (const char *env = std::getenv("RENO_JOBS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n >= 1)
-            return unsigned(n);
-        warn("ignoring invalid RENO_JOBS='%s'", env);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
+}
+
+void
+addCampaignFlags(cli::Parser &parser, CampaignOptions *opts)
+{
+    parser.count("--jobs N", "worker threads (default: all cores)",
+                 &opts->jobs);
+    parser.text("--cache-dir DIR",
+                "persistent result cache; a warm rerun simulates "
+                "nothing",
+                &opts->cacheDir);
+    parser.flag("--sweep-stats", "execution summary on stderr",
+                &opts->stats);
 }
 
 CampaignOptions
 parseCampaignArgs(int argc, char **argv)
 {
     CampaignOptions opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            const std::string prefix = std::string(flag) + "=";
-            if (arg.rfind(prefix, 0) == 0)
-                return arg.substr(prefix.size());
-            if (arg == flag && i + 1 < argc)
-                return argv[++i];
-            return "";
-        };
-        if (arg == "--jobs" || arg.rfind("--jobs=", 0) == 0) {
-            opts.jobs = static_cast<unsigned>(
-                parseCount("--jobs", value("--jobs"), 1,
-                           std::numeric_limits<unsigned>::max()));
-        } else if (arg == "--cache-dir" ||
-                   arg.rfind("--cache-dir=", 0) == 0) {
-            opts.cacheDir = value("--cache-dir");
-            if (opts.cacheDir.empty())
-                fatal("--cache-dir expects a directory path");
-        } else if (arg == "--sweep-stats") {
-            opts.stats = true;
-        }
-    }
+    cli::Parser parser;
+    addCampaignFlags(parser, &opts);
+    parser.parse(argc, argv);
     return opts;
-}
-
-bool
-isCampaignFlag(const std::string &arg, bool *takes_value)
-{
-    *takes_value = false;
-    if (arg == "--jobs" || arg == "--cache-dir") {
-        *takes_value = true;
-        return true;
-    }
-    return arg == "--sweep-stats" ||
-           arg.rfind("--jobs=", 0) == 0 ||
-           arg.rfind("--cache-dir=", 0) == 0;
 }
 
 std::size_t

@@ -9,7 +9,7 @@
  *   - satisfies jobs from the result cache (in-memory, optionally
  *     disk-persistent) before simulating anything,
  *   - executes the remaining unique jobs on a worker thread pool sized
- *     to the host (overridable via --jobs / RENO_JOBS), and
+ *     to the host (overridable via --jobs), and
  *   - collects results in submission order, so parallel output is
  *     bit-identical to a serial run.
  */
@@ -22,13 +22,18 @@
 #include "sweep/job.hpp"
 #include "sweep/result_cache.hpp"
 
+namespace reno::cli
+{
+class Parser;
+}
+
 namespace reno::sweep
 {
 
-/** Engine knobs, typically parsed from argv / environment. */
+/** Engine knobs, typically parsed from argv. */
 struct CampaignOptions {
-    /** Worker threads; 0 = RENO_JOBS env, else
-     *  std::thread::hardware_concurrency(). 1 = run serially inline. */
+    /** Worker threads; 0 = std::thread::hardware_concurrency().
+     *  1 = run serially inline. */
     unsigned jobs = 0;
     /** Result-cache persistence directory ("" = in-memory only). */
     std::string cacheDir;
@@ -38,22 +43,18 @@ struct CampaignOptions {
     bool stats = false;
 };
 
-/** Resolve a --jobs request against RENO_JOBS and the host. */
+/** Resolve a --jobs request: @p requested, else every host core. */
 unsigned resolveJobCount(unsigned requested);
 
-/**
- * Parse the engine's standard flags out of argv: --jobs N (or
- * --jobs=N), --cache-dir D (or --cache-dir=D), --sweep-stats.
- * Unrecognized arguments are ignored so callers can layer their own.
- */
-CampaignOptions parseCampaignArgs(int argc, char **argv);
+/** Register the engine's standard flags, which fill @p *opts:
+ *  --jobs N, --cache-dir DIR, --sweep-stats. */
+void addCampaignFlags(cli::Parser &parser, CampaignOptions *opts);
 
 /**
- * True if @p arg is one of the engine's standard flags, so drivers
- * with strict argument parsing can skip them. Sets @p *takes_value
- * when the flag consumes the following argv entry (detached form).
+ * Parse argv against the engine's standard flags alone (the figure
+ * binaries' whole command line); anything else exits 1 naming it.
  */
-bool isCampaignFlag(const std::string &arg, bool *takes_value);
+CampaignOptions parseCampaignArgs(int argc, char **argv);
 
 /** Execution counters of one run() call. */
 struct CampaignStats {

@@ -9,8 +9,10 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "common/record.hpp"
 #include "common/rng.hpp"
@@ -60,6 +62,78 @@ TEST(ParseCountDeath, RejectsSignJunkOverflowAndRangeNamingTheFlag)
     EXPECT_EXIT(parseCount("--cores", "9", 1, 8),
                 ::testing::ExitedWithCode(1),
                 "--cores expects 1..8, got '9'");
+}
+
+namespace
+{
+
+/** A parser with one entry of each value kind, recording into @p log
+ *  every handler call as "name=value". */
+cli::Parser
+kindsParser(std::vector<std::string> *log)
+{
+    cli::Parser p;
+    const auto record = [log](const char *name) {
+        return [log, name](const std::string &v) {
+            log->push_back(std::string(name) + "=" + v);
+        };
+    };
+    p.add("--none", cli::Value::None, "", record("none"));
+    p.add("--req V", cli::Value::Required, "", record("req"));
+    p.add("--opt[=V]", cli::Value::Optional, "", record("opt"));
+    p.add("FILE", cli::Value::Positional, "", record("file"));
+    return p;
+}
+
+void
+parseArgs(const cli::Parser &p, std::vector<const char *> argv)
+{
+    argv.insert(argv.begin(), "prog");
+    p.parse(static_cast<int>(argv.size()), const_cast<char **>(argv.data()));
+}
+
+} // namespace
+
+TEST(Cli, OnePassInArgvOrderOverEveryValueKind)
+{
+    std::vector<std::string> log;
+    const cli::Parser p = kindsParser(&log);
+    // A detached value may start with one '-' (parseCount then names
+    // a negative count); only "--" marks the next flag.
+    parseArgs(p, {"--req", "a", "x.s", "--opt", "--none", "--req=b=c",
+                  "--opt=d", "--req", "-5"});
+    EXPECT_EQ(log, (std::vector<std::string>{"req=a", "file=x.s", "opt=",
+                                             "none=", "req=b=c", "opt=d",
+                                             "req=-5"}));
+}
+
+TEST(CliDeath, RejectsWithANamedReason)
+{
+    std::vector<std::string> log;
+    const cli::Parser p = kindsParser(&log);
+    const auto dies = [&](std::vector<const char *> argv,
+                          const char *why) {
+        EXPECT_EXIT(parseArgs(p, argv), ::testing::ExitedWithCode(1), why);
+    };
+    dies({"--jbos", "1"}, "unknown argument '--jbos' \\(try --help\\)");
+    dies({"--req"}, "--req expects a value");
+    dies({"--req", "--none"}, "--req expects a value");
+    dies({"--req", ""}, "--req expects a value");
+    dies({"--req="}, "--req= expects a value");
+    dies({"--opt="}, "--opt= expects a value");
+    dies({"--none=1"}, "--none takes no value");
+    dies({"-x"}, "unknown argument '-x'");
+
+    cli::Parser counts;
+    unsigned jobs = 0;
+    counts.count("--jobs N", "", &jobs);
+    EXPECT_EXIT(parseArgs(counts, {"--jobs", "4x"}),
+                ::testing::ExitedWithCode(1),
+                "--jobs expects 1\\.\\.4294967295, got '4x'");
+    EXPECT_EXIT(parseArgs(counts, {"stray"}), ::testing::ExitedWithCode(1),
+                "unknown argument 'stray'");
+    parseArgs(counts, {"--jobs=12"});
+    EXPECT_EQ(jobs, 12u);
 }
 
 TEST(Record, WriterSpellsEveryValueKind)

@@ -5,6 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "common/digest.hpp"
 #include "harness/experiment.hpp"
 #include "sample/sampler.hpp"
@@ -202,6 +206,48 @@ TEST(Harness, BpredVariantSuffixesComposeOnPresets)
         << "BTB size must be a power of two";
     EXPECT_FALSE(configByName("RENO/ras4294967297", base, &cfg))
         << "overflowing counts are rejected, not wrapped";
+
+    // Sizes are capped, so no name asks for a table too large to
+    // allocate.
+    ASSERT_TRUE(configByName("BASE/ras65536/btb65536", base, &cfg));
+    EXPECT_EQ(cfg.params.bpred.ras.entries, MaxBpredEntries);
+    EXPECT_EQ(cfg.params.bpred.btb.entries, MaxBpredEntries);
+    EXPECT_FALSE(configByName("RENO/ras65537", base, &cfg));
+    EXPECT_FALSE(configByName("RENO/ras4000000000", base, &cfg));
+    EXPECT_FALSE(configByName("RENO/btb131072", base, &cfg));
+    EXPECT_FALSE(configByName("RENO/btb2147483648", base, &cfg));
+}
+
+TEST(Harness, WorkloadListingNamesEveryRegisteredWorkload)
+{
+    // --list prints every workload a selection flag accepts, grouped
+    // by suite: each listed name resolves, and the count is the sum
+    // over knownSuites().
+    std::istringstream list(renderWorkloadList());
+    std::string line;
+    ASSERT_TRUE(std::getline(list, line));
+    EXPECT_EQ(line, "workloads:");
+    std::size_t listed = 0;
+    std::string last_suite;
+    std::vector<std::string> suites;
+    while (std::getline(list, line)) {
+        ASSERT_EQ(line.rfind("  ", 0), 0u) << line;
+        const std::string name = line.substr(2, line.find(' ', 2) - 2);
+        const Workload &w = workloadByName(name);
+        EXPECT_NE(line.find("(" + w.suite + ", seed "), std::string::npos)
+            << line;
+        if (w.suite != last_suite)
+            suites.push_back(last_suite = w.suite);
+        ++listed;
+    }
+    std::size_t registered = 0;
+    std::vector<std::string> known;
+    for (const SuiteInfo &s : knownSuites()) {
+        registered += s.workloads;
+        known.push_back(s.name);
+    }
+    EXPECT_EQ(listed, registered);
+    EXPECT_EQ(suites, known) << "one contiguous group per suite";
 }
 
 TEST(Harness, BpredVariantsRunEndToEnd)

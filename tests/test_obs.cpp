@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/clock.hpp"
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
@@ -341,7 +342,10 @@ TEST(ObsArgsDeath, MalformedCountsAreRejectedNamingTheFlag)
 {
     const auto dies = [](std::vector<const char *> argv,
                          const char *message) {
-        EXPECT_EXIT(parseObsArgs(static_cast<int>(argv.size()),
+        ObsOptions opts;
+        cli::Parser parser;
+        addObsFlags(parser, &opts);
+        EXPECT_EXIT(parser.parse(static_cast<int>(argv.size()),
                                  const_cast<char **>(argv.data())),
                     ::testing::ExitedWithCode(1), message);
     };
@@ -577,10 +581,10 @@ TEST(Cache, CountsHitsMissesAndStores)
 
 TEST(Phase, SpansAccumulateMicrosInstsAndCounts)
 {
-    auto &stats = PhaseStats::instance();
+    auto &registry = MetricsRegistry::instance();
     ManualClock clock;
-    stats.reset();
-    stats.enable(&clock);
+    registry.reset();
+    enablePhaseAccounting(&clock);
 
     {
         PhaseSpan span("unit.a");
@@ -596,26 +600,34 @@ TEST(Phase, SpansAccumulateMicrosInstsAndCounts)
         PhaseSpan span("unit.b");
         clock.advance(10);
     }
-    stats.disable();
+    disablePhaseAccounting();
+    {
+        PhaseSpan off("unit.c");  // accounting is off: records nothing
+        clock.advance(5);
+    }
 
-    const auto snapshot = stats.snapshot();
-    ASSERT_EQ(snapshot.size(), 2u);
-    EXPECT_EQ(snapshot[0].first, "unit.a");
-    EXPECT_EQ(snapshot[0].second.micros, 1000u);
-    EXPECT_EQ(snapshot[0].second.insts, 2000u);
-    EXPECT_EQ(snapshot[0].second.count, 2u);
+    const std::string json = registry.renderJson();
+    EXPECT_EQ(json.find("unit.c"), std::string::npos);
+    const double a_seconds = registry.gauge("phase.unit.a.seconds").value();
+    const std::uint64_t a_insts =
+        registry.counter("phase.unit.a.insts").value();
+    EXPECT_EQ(a_seconds, 1000 / 1e6);
+    EXPECT_EQ(a_insts, 2000u);
+    EXPECT_EQ(registry.counter("phase.unit.a.count").value(), 2u);
     // 2000 insts / 1000 us = 2M insts/sec.
-    EXPECT_DOUBLE_EQ(snapshot[0].second.instsPerSec(), 2'000'000.0);
-    EXPECT_EQ(snapshot[1].first, "unit.b");
-    EXPECT_EQ(snapshot[1].second.insts, 0u);
-    stats.reset();
+    EXPECT_DOUBLE_EQ(static_cast<double>(a_insts) / a_seconds,
+                     2'000'000.0);
+    EXPECT_EQ(registry.gauge("phase.unit.b.seconds").value(), 10 / 1e6);
+    EXPECT_EQ(registry.counter("phase.unit.b.insts").value(), 0u);
+    EXPECT_EQ(registry.counter("phase.unit.b.count").value(), 1u);
+    registry.reset();
 }
 
 TEST(Phase, SampledIntervalAccountsDisjointLeafPhases)
 {
-    auto &stats = PhaseStats::instance();
-    stats.reset();
-    stats.enable();
+    auto &registry = MetricsRegistry::instance();
+    registry.reset();
+    enablePhaseAccounting();
 
     sample::IntervalWindow window;
     window.startInst = 2000;
@@ -623,21 +635,25 @@ TEST(Phase, SampledIntervalAccountsDisjointLeafPhases)
     window.measureInsts = 1000;
     const SimResult r = sample::runIntervalDetailed(
         testWorkload(), CoreParams::fourWide(), window, nullptr);
-    stats.disable();
+    disablePhaseAccounting();
     EXPECT_GT(r.retired, 0u);
 
-    std::map<std::string, PhaseTotals> phases;
-    for (const auto &[name, totals] : stats.snapshot())
-        phases[name] = totals;
-    stats.reset();
+    const std::string json = registry.renderJson();
+    const auto insts = [&](const char *phase) {
+        return registry.counter(strprintf("phase.%s.insts", phase))
+            .value();
+    };
 
     // No checkpoint: fast-forward warms [0, startInst), then the
     // detailed warmup and measured window run on the core.
-    ASSERT_TRUE(phases.count("sample.fastforward"));
-    EXPECT_EQ(phases["sample.fastforward"].insts, window.startInst);
-    ASSERT_TRUE(phases.count("sample.warmup"));
-    EXPECT_GE(phases["sample.warmup"].insts, window.warmupInsts);
-    ASSERT_TRUE(phases.count("sample.detailed"));
-    EXPECT_GE(phases["sample.detailed"].insts, window.measureInsts);
-    EXPECT_FALSE(phases.count("sample.restore"));
+    ASSERT_NE(json.find("phase.sample.fastforward.insts"),
+              std::string::npos);
+    EXPECT_EQ(insts("sample.fastforward"), window.startInst);
+    ASSERT_NE(json.find("phase.sample.warmup.insts"), std::string::npos);
+    EXPECT_GE(insts("sample.warmup"), window.warmupInsts);
+    ASSERT_NE(json.find("phase.sample.detailed.insts"),
+              std::string::npos);
+    EXPECT_GE(insts("sample.detailed"), window.measureInsts);
+    EXPECT_EQ(json.find("phase.sample.restore"), std::string::npos);
+    registry.reset();
 }

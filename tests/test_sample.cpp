@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -1166,6 +1167,84 @@ TEST(DecoderMutation, AcceptedResultsAndProfilesReencodeIdentically)
         FuncProfile pback;
         EXPECT_FALSE(CheckpointStore::decodeProfile(p, &pback)) << bad;
     }
+}
+
+namespace
+{
+
+/** Mutants of one valid config name: each '/' dropped or doubled, a
+ *  trailing '/', the preset lowercased, every number respelled (signed,
+ *  zero, padded, overflowing, a non-power-of-two) and every core-count
+ *  token respelled as 0c and 9c. */
+std::vector<std::string>
+configMutants(const std::string &name)
+{
+    static const char *const Respellings[] = {
+        "-1", "0", " 5", "99999999999999999999", "3"};
+    std::vector<std::string> out = {name + "/"};
+    const std::size_t preset_end = std::min(name.find('/'), name.size());
+    std::string lowered = name;
+    std::transform(lowered.begin(), lowered.begin() + preset_end,
+                   lowered.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    out.push_back(lowered);
+    for (std::size_t i = 0; i < name.size(); ++i) {
+        if (name[i] == '/') {
+            out.push_back(name.substr(0, i) + name.substr(i + 1));
+            out.push_back(name.substr(0, i) + "/" + name.substr(i));
+        }
+        if (!std::isdigit(static_cast<unsigned char>(name[i])) ||
+            (i > 0 && std::isdigit(static_cast<unsigned char>(name[i - 1]))))
+            continue;
+        std::size_t end = i;
+        while (end < name.size() &&
+               std::isdigit(static_cast<unsigned char>(name[end])))
+            ++end;
+        for (const char *r : Respellings)
+            out.push_back(std::string(name).replace(i, end - i, r));
+        if (end < name.size() && name[end] == 'c') {
+            for (const char *cores : {"0", "9"})
+                out.push_back(std::string(name).replace(i, end - i, cores));
+        }
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(DecoderMutation, ConfigNamesResolveOrAreRejected)
+{
+    // Every mutant either resolves -- to geometry the warm state (the
+    // per-core caches and predictors) constructs -- or is rejected;
+    // none throws or aborts. Seeded pairs of mutations ride along.
+    const std::vector<std::string> valid = {
+        "BASE", "RENO/l3/wb", "RENO/2c/tage/itt",
+        "BASE/perceptron/ras16", "ME+CF/btb256/4c", "LoadsInteg/pf-stride"};
+    std::vector<std::string> names;
+    Rng rng(5);
+    for (const std::string &name : valid) {
+        const std::vector<std::string> once = configMutants(name);
+        names.insert(names.end(), once.begin(), once.end());
+        for (int i = 0; i < 8; ++i) {
+            const std::vector<std::string> twice =
+                configMutants(once[rng.below(once.size())]);
+            names.push_back(twice[rng.below(twice.size())]);
+        }
+    }
+    std::size_t resolved = 0, rejected = 0;
+    for (const std::string &name : names) {
+        NamedConfig cfg;
+        if (!configByName(name, CoreParams::fourWide(), &cfg)) {
+            ++rejected;
+            continue;
+        }
+        ++resolved;
+        const WarmState warm(cfg.params.mem, cfg.params.bpred,
+                             cfg.params.sys.numCores);
+        EXPECT_EQ(warm.numCores(), cfg.params.sys.numCores) << name;
+    }
+    EXPECT_GT(resolved, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 // ---- one --cache-dir shared by concurrent processes -----------------

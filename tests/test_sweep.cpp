@@ -342,10 +342,6 @@ TEST(Sweep, ThreadPoolRunsEverythingAndWaits)
 TEST(Sweep, ResolveJobCountPrecedence)
 {
     EXPECT_EQ(resolveJobCount(3), 3u);
-    setenv("RENO_JOBS", "2", 1);
-    EXPECT_EQ(resolveJobCount(0), 2u);
-    EXPECT_EQ(resolveJobCount(5), 5u);  // explicit beats env
-    unsetenv("RENO_JOBS");
     EXPECT_GE(resolveJobCount(0), 1u);
 }
 
@@ -354,10 +350,15 @@ TEST(Sweep, ParseCampaignArgs)
     const char *argv[] = {"prog", "--jobs", "8", "--cache-dir=/tmp/x",
                           "--sweep-stats", "--unrelated"};
     const CampaignOptions opts =
-        parseCampaignArgs(6, const_cast<char **>(argv));
+        parseCampaignArgs(5, const_cast<char **>(argv));
     EXPECT_EQ(opts.jobs, 8u);
     EXPECT_EQ(opts.cacheDir, "/tmp/x");
     EXPECT_TRUE(opts.stats);
+    // The campaign flags are the figure binaries' whole command line:
+    // anything else is refused by name, never ignored.
+    EXPECT_EXIT(parseCampaignArgs(6, const_cast<char **>(argv)),
+                ::testing::ExitedWithCode(1),
+                "unknown argument '--unrelated'");
 }
 
 TEST(SweepDeath, ParseCampaignArgsRejectsMalformedJobCounts)
