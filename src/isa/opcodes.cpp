@@ -1,20 +1,18 @@
 #include "isa/opcodes.hpp"
 
-#include <array>
-
 #include "common/log.hpp"
 
 namespace reno
 {
 
-namespace
+namespace detail
 {
 
 using IC = InstClass;
 using IF = InstFormat;
 
 // mnemonic, class, format, latency, memSize, signedLoad, cf, fusePenalty
-constexpr std::array<OpInfo, NumOpcodeValues> opTable = {{
+const std::array<OpInfo, NumOpcodeValues> opTable = {{
     {"add",    IC::IntAlu, IF::R, 1, 0, false, false, false},
     {"sub",    IC::IntAlu, IF::R, 1, 0, false, false, false},
     {"mul",    IC::IntMul, IF::R, 3, 0, false, false, true},
@@ -66,16 +64,13 @@ constexpr std::array<OpInfo, NumOpcodeValues> opTable = {{
     {"syscall", IC::Syscall,   IF::None,   1, 0, false, false, false},
 }};
 
-} // namespace
-
-const OpInfo &
-opInfo(Opcode op)
+void
+badOpcode(unsigned idx)
 {
-    const auto idx = static_cast<unsigned>(op);
-    if (idx >= NumOpcodeValues)
-        panic("opInfo: bad opcode %u", idx);
-    return opTable[idx];
+    panic("opInfo: bad opcode %u", idx);
 }
+
+} // namespace detail
 
 std::string_view
 mnemonic(Opcode op)
@@ -87,7 +82,7 @@ Opcode
 opcodeFromMnemonic(std::string_view name)
 {
     for (unsigned i = 0; i < NumOpcodeValues; ++i) {
-        if (opTable[i].mnemonic == name)
+        if (detail::opTable[i].mnemonic == name)
             return static_cast<Opcode>(i);
     }
     return Opcode::NumOpcodes;

@@ -11,6 +11,7 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -97,8 +98,24 @@ struct OpInfo {
     bool fusePenalty;
 };
 
-/** Table of opcode properties, indexed by Opcode. */
-const OpInfo &opInfo(Opcode op);
+namespace detail
+{
+/** The opcode property table, indexed by Opcode (opcodes.cpp). */
+extern const std::array<OpInfo, NumOpcodeValues> opTable;
+/** Out-of-line panic for an opcode outside the table. */
+[[noreturn, gnu::cold]] void badOpcode(unsigned idx);
+} // namespace detail
+
+/** Properties of @p op: an inline table read; panics on a value
+ *  outside the enumeration. */
+inline const OpInfo &
+opInfo(Opcode op)
+{
+    const auto idx = static_cast<unsigned>(op);
+    if (idx >= NumOpcodeValues) [[unlikely]]
+        detail::badOpcode(idx);
+    return detail::opTable[idx];
+}
 
 /** Convenience accessors. */
 inline bool isLoad(Opcode op) { return opInfo(op).cls == InstClass::Load; }

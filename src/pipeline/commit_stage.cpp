@@ -65,7 +65,7 @@ CommitStage::tick()
             ++stats_.retiredLoads;
         if (d.isStoreInst())
             ++stats_.retiredStores;
-        if (isControl(d.inst().op))
+        if (d.control)
             ++stats_.retiredBranches;
 
         if (hot_)

@@ -29,9 +29,10 @@ FetchStage::tick()
             }
         }
 
-        const ExecRecord rec = emu_.step();
         DynInst *d = s_.arena.acquire();
-        d->rec = rec;
+        d->rec = emu_.step();
+        d->resolveStatic();
+        const ExecRecord &rec = d->rec;
         d->seq = s_.seqCounter++;
         d->fetchCycle = s_.now;
         d->fetchReady = s_.now + params_.frontDepth;
@@ -39,7 +40,7 @@ FetchStage::tick()
         s_.pendingRedirectSeq = 0;
 
         bool mispredicted = false;
-        if (isControl(rec.inst.op)) {
+        if (d->control) {
             const Prediction pred = bp_.predict(pc, rec.inst);
             Addr pred_npc = pc + 4;
             bool target_known = true;

@@ -5,34 +5,21 @@
 namespace reno
 {
 
-Cycle
-IssueStage::srcReadyCycle(const SrcOp &src) const
-{
-    const Cycle ready = s_.pregReady[src.preg];
-    if (ready == InvalidCycle)
-        return InvalidCycle;
-    const Cycle issue = s_.pregIssue[src.preg];
-    if (issue == InvalidCycle)
-        return ready;
-    return std::max(ready, issue + params_.schedLoop);
-}
-
 unsigned
 IssueStage::fusionExtra(const DynInst &d) const
 {
     if (!params_.reno.cf)
         return 0;
-    const Instruction &inst = d.inst();
     const bool disp0 = d.ren.numSrcs > 0 && d.ren.src[0].disp != 0;
     // A store's data displacement collapses on the dedicated store-data
     // path adder and never delays issue.
     const bool disp1 = d.ren.numSrcs > 1 && d.ren.src[1].disp != 0 &&
-                       !isStore(inst.op);
+                       !d.isStoreInst();
     if (!disp0 && !disp1)
         return 0;
     if (!params_.freeAddAddFusion)
         return 1;  // ablation: every fusion costs a cycle
-    if (inst.info().fusePenalty)
+    if (d.fusePenalty)
         return 1;  // general shift or multiply/divide input adder
     if (disp0 && disp1)
         return 1;  // both inputs displaced: augmented ALU case
@@ -42,52 +29,43 @@ IssueStage::fusionExtra(const DynInst &d) const
 void
 IssueStage::tick()
 {
-    unsigned used_int = 0, used_ld = 0, used_st = 0, used_total = 0;
+    const unsigned width[NumIssuePorts] = {
+        params_.issue.intOps, params_.issue.loads, params_.issue.stores};
+    unsigned used[NumIssuePorts] = {};
+    unsigned used_total = 0;
 
-    DynInst *next = nullptr;
-    for (DynInst *cand = s_.issueHead; cand; cand = next) {
-        next = cand->issueNext;
-        if (used_total >= params_.issue.total)
-            break;
-        DynInst &d = *cand;
-        // List membership guarantees renamed, unissued, uncollapsed,
-        // non-syscall.
-        const Instruction &inst = d.inst();
-        const InstClass cls = inst.info().cls;
+    // Walk the candidate lists merged oldest-first; a class whose
+    // width is used up drops out of the merge.
+    DynInst *cursor[NumIssuePorts];
+    for (unsigned p = 0; p < NumIssuePorts; ++p)
+        cursor[p] = s_.candidates[p].head;
 
-        const bool is_ld = cls == InstClass::Load;
-        const bool is_st = cls == InstClass::Store;
-        if (is_ld && used_ld >= params_.issue.loads)
-            continue;
-        if (is_st && used_st >= params_.issue.stores)
-            continue;
-        if (!is_ld && !is_st && used_int >= params_.issue.intOps)
-            continue;
-
-        // Readiness: dispatch pipe, then each source's producer.
-        Cycle earliest = d.readyEarliest;
-        IssueDom dom = IssueDom::Dispatch;
-        InstSeq dom_seq = 0;
-        bool ready = true;
-        for (unsigned s = 0; s < d.ren.numSrcs; ++s) {
-            const Cycle t = srcReadyCycle(d.ren.src[s]);
-            if (t == InvalidCycle) {
-                ready = false;
-                break;
-            }
-            if (t > earliest) {
-                earliest = t;
-                dom = s == 0 ? IssueDom::Src0 : IssueDom::Src1;
-                dom_seq = s_.pregProducer[d.ren.src[s].preg];
-            }
+    while (used_total < params_.issue.total) {
+        unsigned port = NumIssuePorts;
+        for (unsigned p = 0; p < NumIssuePorts; ++p) {
+            if (cursor[p] && used[p] < width[p] &&
+                (port == NumIssuePorts ||
+                 cursor[p]->seq < cursor[port]->seq))
+                port = p;
         }
-        if (!ready || earliest > s_.now)
+        if (port == NumIssuePorts)
+            break;
+        DynInst &d = *cursor[port];
+        cursor[port] = d.issueNext;
+        // An instruction woken by an issue during this walk is not
+        // ready before next cycle, so the cursors may pass it by.
+        if (d.readyAt > s_.now)
             continue;
+
+        const bool is_ld = port == LoadPort;
+        const bool is_st = port == StorePort;
 
         // Aggressive load scheduling, gated by the store-set predictor:
         // a load whose pc maps to a store set waits until every older
-        // in-flight store of that set has issued (the LFST chains
-        // same-set stores, so tracking the youngest is equivalent).
+        // in-flight store of that set has issued. Stores issue out of
+        // order within a set, so the walk finds the oldest unissued
+        // one (the load's MemDep producer); a per-set "youngest
+        // unissued store" would not be equivalent.
         if (is_ld) {
             const unsigned set = ssets_.setOf(d.rec.pc);
             if (set != StoreSets::InvalidSet) {
@@ -113,21 +91,17 @@ IssueStage::tick()
         // Issue.
         d.issued = true;
         d.issueCycle = s_.now;
-        d.issueDom = s_.now > earliest ? IssueDom::Contention : dom;
+        d.issueDom = s_.now > d.readyAt ? IssueDom::Contention
+                                        : d.readyDom;
         if (d.issueDom != IssueDom::Contention)
-            d.domProducer = dom_seq;
+            d.domProducer = d.readyDomSeq;
         if (d.inIq) {
             d.inIq = false;
             --s_.iqCount;
         }
-        s_.issueListRemove(&d);
+        s_.removeCandidate(d);
         ++used_total;
-        if (is_ld)
-            ++used_ld;
-        else if (is_st)
-            ++used_st;
-        else
-            ++used_int;
+        ++used[port];
 
         const unsigned extra = fusionExtra(d);
 
@@ -169,12 +143,13 @@ IssueStage::tick()
             d.completeCycle = s_.now + 1 + extra;
             ssets_.storeInactive(d.storeSet, d.seq);
         } else {
-            d.completeCycle = s_.now + inst.info().latency + extra;
+            d.completeCycle = s_.now + d.latency + extra;
         }
 
         if (d.ren.hasDest) {
             s_.pregReady[d.ren.destPreg] = d.completeCycle;
             s_.pregIssue[d.ren.destPreg] = d.issueCycle;
+            s_.wake(d.ren.destPreg);
         }
 
         // Resolve a fetch-blocking mispredicted branch.

@@ -8,11 +8,14 @@
  * stores execute -- squashing and replaying the offending load and
  * everything younger.
  *
- * The selection loop walks the issue-candidate list (renamed,
- * unissued, uncollapsed instructions in program order) and the memory
- * scans walk robStores/robLoads; both are order-preserving subsets of
- * the ROB, so the stage behaves exactly like a full ROB scan at a
- * fraction of the cost.
+ * Wakeup is event-driven (see pipeline/machine_state.hpp): when an
+ * instruction issues, the dependents waiting on its destination
+ * register become candidates once their last source resolves, with
+ * their issue cycle fixed there. Select walks the per-class candidate
+ * lists merged oldest-first, so it visits only instructions whose
+ * producers have all issued, and stops walking a class once that
+ * class's width is used up. The memory scans walk robStores/robLoads,
+ * the ROB's loads and stores in program order.
  */
 #pragma once
 
@@ -40,9 +43,6 @@ class IssueStage
     void tick();
 
   private:
-    /** Source-operand ready cycle honoring the scheduling loop. */
-    Cycle srcReadyCycle(const SrcOp &src) const;
-
     /** Extra fused-operation latency for deferred displacements. */
     unsigned fusionExtra(const DynInst &d) const;
 

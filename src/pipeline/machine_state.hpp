@@ -5,19 +5,31 @@
  * occupancies and redirect/drain bookkeeping, plus the instruction
  * arena that owns every in-flight DynInst.
  *
- * The state also maintains three derived views the issue stage's
- * inner scans walk instead of the whole ROB:
+ * The state also keeps the scheduler the issue stage selects from,
+ * so issue work follows events instead of window occupancy:
  *
+ *   - per-register waiter lists (waitHead, linked through the
+ *     waiting instructions): a dispatched instruction waits on the
+ *     list of each source register whose producer has not issued yet.
+ *     Dispatch pushes at the head, so each list runs from the
+ *     youngest waiter to the oldest;
+ *   - per-class issue-candidate lists (candidates): dispatched
+ *     instructions none of whose sources wait any more, in program
+ *     order. dispatch() puts an instruction there directly when every
+ *     source is already produced; otherwise wake(), called when the
+ *     producer issues, moves it there once its last source resolves.
+ *     Its issue cycle is fixed at that point and stored in the
+ *     instruction, so select only compares it with now;
  *   - robStores / robLoads: the ROB's memory instructions in program
  *     order (store-to-load forwarding, store-set blocking and
- *     violation detection only ever inspect these), and
- *   - the intrusive issue-candidate list (issueHead/issueTail):
- *     renamed instructions that may still issue -- not collapsed, not
- *     syscalls, not yet issued -- in program order.
+ *     violation detection only ever inspect these).
  *
- * Both views are subsets of the ROB in ROB order, so walking them is
- * behavior-identical to the original full-ROB scans; squashFrom keeps
- * them consistent during recovery.
+ * Select walks the candidate lists merged oldest-first, which visits
+ * every instruction that could issue in the same order as a scan of
+ * the whole ROB would. A squash removes the youngest suffix of the
+ * ROB, which is also the youngest part of every list; squashFrom
+ * pops it from the young end (and panics if a waiter is out of
+ * order).
  */
 #pragma once
 
@@ -43,6 +55,17 @@ enum class FetchWait : std::uint8_t {
     Squash,    //!< refilling after a pipeline squash
 };
 
+/** Issue classes; each has its own issue width and candidate list. */
+enum IssuePort : unsigned { IntPort, LoadPort, StorePort, NumIssuePorts };
+
+inline IssuePort
+issuePortOf(InstClass cls)
+{
+    return cls == InstClass::Load    ? LoadPort
+           : cls == InstClass::Store ? StorePort
+                                     : IntPort;
+}
+
 /** Which resource rename last stalled on (CPI-stack attribution). */
 enum class RenameStall : std::uint8_t { None, Rob, Iq, Lsq, Pregs };
 
@@ -58,13 +81,22 @@ struct MachineState {
     std::deque<DynInst *> robLoads;
 
     /** Issue-candidate list endpoints (intrusive, program order). */
-    DynInst *issueHead = nullptr;
-    DynInst *issueTail = nullptr;
+    struct CandidateList {
+        DynInst *head = nullptr;
+        DynInst *tail = nullptr;
+    };
+
+    /** Per class (IssuePort), see file comment. */
+    CandidateList candidates[NumIssuePorts];
 
     // --- physical-register scoreboard ---------------------------------
     std::vector<Cycle> pregReady;
     std::vector<Cycle> pregIssue;
     std::vector<InstSeq> pregProducer;
+    /** Per register, the youngest dispatched source waiting for its
+     *  producer to issue; the list runs to older waiters through
+     *  DynInst::waitNext (see file comment). */
+    std::vector<WaitRef> waitHead;
 
     // --- queue occupancies --------------------------------------------
     unsigned iqCount = 0;
@@ -93,8 +125,20 @@ struct MachineState {
     RenameStall renameStall = RenameStall::None;
     Cycle renameStallCycle = InvalidCycle;
 
-    void issueListAppend(DynInst *d);
-    void issueListRemove(DynInst *d);
+    /**
+     * Enter a renamed, uncollapsed, non-syscall instruction into the
+     * scheduler: claim its destination register in the scoreboard,
+     * wait on every source whose producer has not issued, or make it
+     * a candidate right away.
+     */
+    void dispatch(DynInst &d);
+
+    /** The producer of @p preg issued (its pregReady/pregIssue are
+     *  set): resolve the register's waiters. */
+    void wake(PhysReg preg);
+
+    /** Take an issued instruction off its candidate list. */
+    void removeCandidate(DynInst &d);
 
     /** Index of the oldest ROB entry with seq >= @p seq (the ROB is
      *  seq-sorted). */
@@ -108,6 +152,15 @@ struct MachineState {
     void squashFrom(std::size_t idx, Cycle restart_cycle,
                     RenoRenamer &renamer, StoreSets &ssets,
                     const CoreParams &params);
+
+  private:
+    /** Fix @p d's issue cycle from its sources' producers and insert
+     *  it into its candidate list in program order. */
+    void makeCandidate(DynInst &d);
+
+    /** Scheduling-loop delay between a producer's issue and a
+     *  consumer's (CoreParams::schedLoop). */
+    Cycle schedLoop_;
 };
 
 } // namespace reno

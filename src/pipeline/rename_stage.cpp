@@ -77,12 +77,7 @@ RenameStage::tick()
                 ++s_.sqCount;
                 d.storeSet = ssets_.storeDispatched(d.rec.pc, d.seq);
             }
-            if (d.ren.hasDest) {
-                s_.pregReady[d.ren.destPreg] = InvalidCycle;
-                s_.pregIssue[d.ren.destPreg] = InvalidCycle;
-                s_.pregProducer[d.ren.destPreg] = d.seq;
-            }
-            s_.issueListAppend(&d);
+            s_.dispatch(d);
         }
 
         if (d.isLoadInst())

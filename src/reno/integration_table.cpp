@@ -81,8 +81,10 @@ IntegrationTable::release(ItSlot slot)
         return;
     e.valid = false;
     ++invalidations_;
-    if (prf_ && e.out.preg != InvalidPhysReg)
+    if (prf_ && e.out.preg != InvalidPhysReg) {
         prf_->decRef(e.out.preg);
+        --pins_[e.out.preg];
+    }
 }
 
 ItSlot
@@ -120,8 +122,10 @@ IntegrationTable::insert(const ItEntry &tuple)
         }
     }
     release(victim);  // drop any evicted entry's reference
-    if (prf_ && tuple.out.preg != InvalidPhysReg)
+    if (prf_ && tuple.out.preg != InvalidPhysReg) {
         prf_->incRef(tuple.out.preg);
+        ++pins_[tuple.out.preg];
+    }
     slots_[victim] = tuple;
     slots_[victim].valid = true;
     slots_[victim].lruStamp = ++lruClock_;
@@ -141,15 +145,18 @@ IntegrationTable::invalidatePreg(PhysReg preg)
 {
     if (preg >= pregSlots_.size())
         return;
-    // Swap the list out: release() can cascade (freeing an output
-    // register re-enters here for that register's own input uses).
-    std::vector<ItSlot> list;
-    list.swap(pregSlots_[preg]);
-    for (const ItSlot slot : list) {
-        const ItEntry &e = slots_[slot];
+    // release() can cascade (freeing an output register re-enters here
+    // for that register's own input uses), and a re-entry may clear
+    // this very list; nothing appends during a cascade. So walk by
+    // index, then clear in place: the list keeps its capacity and
+    // steady-state renaming allocates nothing here.
+    std::vector<ItSlot> &list = pregSlots_[preg];
+    for (std::size_t i = 0; i < list.size(); ++i) {
+        const ItEntry &e = slots_[list[i]];
         if (e.valid && (e.in1.preg == preg || e.in2.preg == preg))
-            release(slot);
+            release(list[i]);
     }
+    list.clear();
 }
 
 bool
@@ -162,28 +169,25 @@ IntegrationTable::reclaimLru()
     // One register can be pinned by several tuples (e.g. a forward and
     // a reverse entry), so compare against the per-register pin count,
     // not against 1 -- and release every pinning entry so the register
-    // actually returns to the free pool.
-    std::vector<unsigned> pins(prf_->numPregs(), 0);
-    for (const ItEntry &e : slots_) {
-        if (e.valid && e.out.preg != InvalidPhysReg)
-            ++pins[e.out.preg];
-    }
+    // actually returns to the free pool. The victim is the oldest
+    // reclaimable entry (lruStamp; ties to the lowest slot).
     ItSlot victim = InvalidItSlot;
     for (ItSlot slot = 0; slot < slots_.size(); ++slot) {
         const ItEntry &e = slots_[slot];
         if (!e.valid || e.out.preg == InvalidPhysReg)
             continue;
-        if (prf_->refCount(e.out.preg) != pins[e.out.preg])
+        if (victim != InvalidItSlot &&
+            e.lruStamp >= slots_[victim].lruStamp)
+            continue;
+        if (prf_->refCount(e.out.preg) != pins_[e.out.preg])
             continue;  // still architecturally mapped or in flight
-        if (victim == InvalidItSlot ||
-            e.lruStamp < slots_[victim].lruStamp) {
-            victim = slot;
-        }
+        victim = slot;
     }
     if (victim == InvalidItSlot)
         return false;
     const PhysReg target = slots_[victim].out.preg;
-    for (ItSlot slot = 0; slot < slots_.size(); ++slot) {
+    for (ItSlot slot = 0; slot < slots_.size() && pins_[target] > 0;
+         ++slot) {
         const ItEntry &e = slots_[slot];
         if (e.valid && e.out.preg == target)
             release(slot);

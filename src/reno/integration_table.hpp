@@ -79,7 +79,12 @@ class IntegrationTable
      * Attach the physical register file whose reference counts this
      * table participates in. Must be called before any insert().
      */
-    void attachRegFile(PhysRegFile *prf) { prf_ = prf; }
+    void
+    attachRegFile(PhysRegFile *prf)
+    {
+        prf_ = prf;
+        pins_.assign(prf ? prf->numPregs() : 0, 0);
+    }
 
     /**
      * Look up a tuple matching (@p op, @p imm, @p in1, @p in2).
@@ -137,6 +142,10 @@ class IntegrationTable
 
     /** preg -> slots that may reference it (lazily cleaned). */
     std::vector<std::vector<ItSlot>> pregSlots_;
+
+    /** preg -> references this table holds on it (valid entries
+     *  naming it as output); kept current by insert() and release(). */
+    std::vector<unsigned> pins_;
 
     std::uint64_t accesses_ = 0;
     std::uint64_t hits_ = 0;

@@ -1,8 +1,9 @@
 /**
  * @file
- * ISA tests: opcode property table consistency, encode/decode
- * round-tripping over every opcode (parameterized), operand queries
- * per format, RENO idiom predicates, and the disassembler.
+ * ISA tests: opcode property table consistency and range check,
+ * encode/decode round-tripping over every opcode (parameterized),
+ * operand queries per format, RENO idiom predicates, and the
+ * disassembler.
  */
 #include <gtest/gtest.h>
 
@@ -44,6 +45,14 @@ TEST_P(AllOpcodes, PropertyTableConsistent)
     // Multiplies and divides are multi-cycle.
     if (info.cls == InstClass::IntMul || info.cls == InstClass::IntDiv)
         EXPECT_GT(info.latency, 1u);
+}
+
+TEST(OpInfoTable, RejectsAnOpcodeOutsideTheTable)
+{
+    // The table read is inline; the range check must still panic
+    // rather than read past the end.
+    EXPECT_DEATH(opInfo(static_cast<Opcode>(NumOpcodeValues)),
+                 "opInfo: bad opcode");
 }
 
 TEST_P(AllOpcodes, MnemonicRoundTrip)

@@ -199,6 +199,32 @@ TEST(It, CascadingInvalidation)
     EXPECT_EQ(prf.refCount(p_out), 0u);
 }
 
+TEST(It, InvalidationReenteringTheSameRegisterIsSafe)
+{
+    // A tuple whose input and output are the same register: releasing
+    // it frees that register, and the free re-enters invalidatePreg
+    // for the list being walked.
+    PhysRegFile prf(8);
+    IntegrationTable it(ItParams{64, 2});
+    it.attachRegFile(&prf);
+    prf.setOnFree([&](PhysReg p) { it.invalidatePreg(p); });
+
+    const PhysReg p = prf.alloc();
+    const PhysReg q = prf.alloc();
+    it.insert(loadTuple(p, 0, 8, p));
+    it.insert(loadTuple(p, 0, 16, q));
+    prf.decRef(p);  // only the first tuple holds p now
+    EXPECT_EQ(prf.refCount(p), 1u);
+
+    it.invalidatePreg(p);
+    EXPECT_EQ(prf.refCount(p), 0u);
+    EXPECT_EQ(prf.refCount(q), 1u) << "the second tuple's pin released";
+    EXPECT_EQ(it.lookup(Opcode::LDQ, 8, MapEntry{p, 0}, MapEntry{}),
+              InvalidItSlot);
+    EXPECT_EQ(it.lookup(Opcode::LDQ, 16, MapEntry{p, 0}, MapEntry{}),
+              InvalidItSlot);
+}
+
 TEST(It, ReclaimLruFreesTableOnlyRegisters)
 {
     PhysRegFile prf(8);
@@ -250,6 +276,36 @@ TEST(It, ReclaimFreesMultiplyPinnedRegisters)
               InvalidItSlot);
     EXPECT_EQ(it.lookup(Opcode::LDQ, 16, MapEntry{3, 0}, MapEntry{}),
               InvalidItSlot);
+}
+
+TEST(It, ReclaimPicksTheOldestEntryAcrossMultiplyPinnedRegisters)
+{
+    // The victim is the least-recently-used reclaimable entry, even
+    // when its register is pinned twice (a forward and a reverse
+    // tuple) and a younger entry pins another register only once.
+    PhysRegFile prf(8);
+    IntegrationTable it(ItParams{64, 2});
+    it.attachRegFile(&prf);
+
+    const PhysReg older = prf.alloc();
+    const PhysReg younger = prf.alloc();
+    it.insert(loadTuple(3, 0, 8, older));
+    it.insert(loadTuple(4, 0, 8, older, /*reverse=*/true));
+    it.insert(loadTuple(3, 0, 16, younger));
+    prf.decRef(older);
+    prf.decRef(younger);
+    EXPECT_EQ(prf.refCount(older), 2u);
+    EXPECT_EQ(prf.refCount(younger), 1u);
+
+    EXPECT_TRUE(it.reclaimLru());
+    EXPECT_EQ(prf.refCount(older), 0u)
+        << "the older, doubly pinned register goes first";
+    EXPECT_EQ(prf.refCount(younger), 1u);
+
+    EXPECT_TRUE(it.reclaimLru());
+    EXPECT_EQ(prf.refCount(younger), 0u);
+    EXPECT_FALSE(it.reclaimLru());
+    EXPECT_EQ(prf.numFree(), 8u);
 }
 
 TEST(It, ReclaimSkipsRegistersWithOutsideReferences)
