@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstring>
 #include <optional>
+#include <string_view>
 
 #include "common/log.hpp"
 #include "isa/regs.hpp"
@@ -69,10 +70,10 @@ trim(const std::string &s)
 }
 
 Line
-splitLine(const std::string &raw, unsigned lineno)
+splitLine(std::string_view raw, unsigned lineno)
 {
     Line out;
-    std::string s = raw;
+    std::string s(raw);
     // Strip comments, respecting string literals for .asciiz.
     bool in_str = false;
     for (size_t i = 0; i < s.size(); ++i) {
@@ -222,8 +223,8 @@ class Assembler
             size_t end = source.find('\n', start);
             if (end == std::string::npos)
                 end = source.size();
-            lines_.emplace_back(lineno,
-                                source.substr(start, end - start));
+            lines_.emplace_back(
+                lineno, std::string_view(source).substr(start, end - start));
             start = end + 1;
             ++lineno;
         }
@@ -253,8 +254,10 @@ class Assembler
         Segment seg = Segment::Text;
         Addr text_pc = prog_.textBase;
         Addr data_pc = prog_.dataBase;
+        parsed_.reserve(lines_.size());
         for (const auto &[lineno, raw] : lines_) {
-            const Line line = splitLine(raw, lineno);
+            parsed_.emplace_back(lineno, splitLine(raw, lineno));
+            const Line &line = parsed_.back().second;
             for (const auto &label : line.labels) {
                 const Addr addr = seg == Segment::Text ? text_pc : data_pc;
                 if (!prog_.symbols.emplace(label, addr).second)
@@ -363,13 +366,12 @@ class Assembler
         return out;
     }
 
-    // --- Pass 2: emit code and data ----------------------------------
+    // --- Pass 2: emit code and data from pass 1's split lines --------
     void
     pass2()
     {
         Segment seg = Segment::Text;
-        for (const auto &[lineno, raw] : lines_) {
-            const Line line = splitLine(raw, lineno);
+        for (const auto &[lineno, line] : parsed_) {
             if (line.mnemonic.empty())
                 continue;
             if (line.mnemonic[0] == '.') {
@@ -663,7 +665,10 @@ class Assembler
         throw AsmError(lineno, "unhandled instruction format");
     }
 
-    std::vector<std::pair<unsigned, std::string>> lines_;
+    /** Source lines, viewing the source, which outlives the run. */
+    std::vector<std::pair<unsigned, std::string_view>> lines_;
+    /** Every source line split once, by pass 1, for pass 2. */
+    std::vector<std::pair<unsigned, Line>> parsed_;
     Program prog_;
 };
 

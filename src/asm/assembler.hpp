@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/digest.hpp"
 #include "common/types.hpp"
 #include "isa/inst.hpp"
 
@@ -61,6 +62,9 @@ struct Program {
     std::vector<std::uint8_t> data;    //!< initialized data segment
     Addr entry = DefaultTextBase;      //!< `_start` if defined
     std::map<std::string, Addr> symbols;
+    /** programDigest() memo (emu/emulator.hpp): the image must not
+     *  change in place once its digest has been taken. */
+    DigestMemo digest;
 
     /** Decoded instruction at @p pc; pc must be text-aligned. */
     Instruction instAt(Addr pc) const;

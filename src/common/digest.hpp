@@ -6,6 +6,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -62,6 +63,42 @@ class Fnv64
 
   private:
     std::uint64_t hash_ = Offset;
+};
+
+/**
+ * A digest computed on first use and kept, for an object that is
+ * immutable once built but shared between threads: racing first uses
+ * each compute the same value and store it. A copy starts empty, so
+ * a copy that is edited before its first use hashes its own content.
+ * 0 means "not yet computed" (a digest of 0 is merely recomputed).
+ */
+class DigestMemo
+{
+  public:
+    DigestMemo() = default;
+    DigestMemo(const DigestMemo &) {}
+    DigestMemo &
+    operator=(const DigestMemo &)
+    {
+        value_.store(0);
+        return *this;
+    }
+
+    /** The memoized value, from @p compute() on first use. */
+    template <class Compute>
+    std::uint64_t
+    get(Compute compute) const
+    {
+        std::uint64_t v = value_.load();
+        if (v == 0) {
+            v = compute();
+            value_.store(v);
+        }
+        return v;
+    }
+
+  private:
+    mutable std::atomic<std::uint64_t> value_{0};
 };
 
 /** Format a 64-bit digest as 16 lowercase hex digits. */

@@ -8,7 +8,11 @@
  * the blocks keyed by entry pc (BlockCache), and chains hot blocks
  * into superblocks across unconditional direct control flow (BR/BSR),
  * so the execution loop in Emulator::runUntil() dispatches straight
- * over the decoded form (threaded dispatch, no per-step decode).
+ * over the decoded form (threaded dispatch, no per-step decode). The
+ * loop (emu/exec_decoded.hpp) is a template over an event sink:
+ * run()/runUntil(bound) instantiate it with the empty NullSink, and
+ * functional warming with a sink that feeds its caches and predictor
+ * per executed op.
  *
  * The decoded cache is a pure accelerator: architectural state
  * transitions, ExecRecord streams, program output, digests and

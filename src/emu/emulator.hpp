@@ -8,6 +8,13 @@
  * next pc, which the cycle-level model then schedules (SimpleScalar
  * style functional-first simulation).
  *
+ * Bulk execution -- run(), runUntil() -- goes through the decoded
+ * superblock engine (emu/decoded.hpp). Functional warming uses the
+ * same engine through runUntil(bound, sink): the engine reports each
+ * instruction's fetch, data access and control outcome to a
+ * compile-time sink, so warming runs at engine speed instead of one
+ * step() per instruction.
+ *
  * System calls (v0 = number, a0.. = arguments):
  *   0 exit(a0)
  *   1 print_int(a0)     appends decimal to the captured output
@@ -89,8 +96,29 @@ struct ExecRecord {
 std::uint64_t evalAlu(Opcode op, std::uint64_t a, std::uint64_t b,
                       std::int32_t imm);
 
-/** Content digest of a program image (text, data, bases, entry). */
+/** Content digest of a program image (text, data, bases, entry),
+ *  hashed on first use and memoized in the image (Program::digest). */
 std::uint64_t programDigest(const Program &prog);
+
+/**
+ * Event sink of a sink-driven run (Emulator::runUntil(bound, sink)),
+ * the interface functional warming feeds its caches and predictor
+ * from. Hooks are called per executed instruction, in program order:
+ *
+ *   fetch(pc)                       before the instruction executes;
+ *   data(effAddr, is_store)         for each load or store;
+ *   control(pc, inst, taken, npc)   for each control op, with the
+ *                                   taken/npc that step() reports.
+ *
+ * The decoded engine is a template over the sink and calls the hooks
+ * inline. NullSink, whose hooks are empty, is the instantiation behind
+ * run() and runUntil(bound), so the plain engine carries no hook code.
+ */
+struct NullSink {
+    void fetch(Addr) {}
+    void data(Addr, bool) {}
+    void control(Addr, const Instruction &, bool, Addr) {}
+};
 
 /**
  * A full functional checkpoint: everything Emulator needs to resume
@@ -155,6 +183,17 @@ class Emulator
      */
     std::uint64_t runUntil(std::uint64_t inst_bound);
 
+    /**
+     * runUntil() reporting every executed instruction to @p sink (see
+     * NullSink for the hooks). Stops at exactly @p inst_bound, also
+     * mid-block and mid-superblock, and resumes there; a store into
+     * the text segment still invalidates the blocks it overwrote.
+     * Defined in emu/exec_decoded.hpp: a caller with its own Sink type
+     * includes that header to instantiate it.
+     */
+    template <class Sink>
+    std::uint64_t runUntil(std::uint64_t inst_bound, Sink &sink);
+
     /** Snapshot the complete functional state. */
     EmuCheckpoint checkpoint() const;
 
@@ -189,14 +228,18 @@ class Emulator
     std::uint64_t doSyscall();
 
     /** Shared bounded-run loop behind run()/runUntil(): retire
-     *  instructions until exit or instCount() reaches @p inst_bound. */
-    std::uint64_t runBounded(std::uint64_t inst_bound);
+     *  instructions until exit or instCount() reaches @p inst_bound,
+     *  reporting each to @p sink. */
+    template <class Sink>
+    std::uint64_t runBounded(std::uint64_t inst_bound, Sink &sink);
 
     /** Threaded-dispatch engine: execute @p blk from @p start_idx,
      *  following block links, until exit, an un-decodable pc, or
-     *  instCount() reaches @p limit. Pre: instCount() < limit. */
+     *  instCount() reaches @p limit, reporting each instruction to
+     *  @p sink. Pre: instCount() < limit. */
+    template <class Sink>
     void execDecoded(DecodedBlock *blk, std::size_t start_idx,
-                     std::uint64_t limit);
+                     std::uint64_t limit, Sink &sink);
 
     /** Cached block entered at @p pc, decoding (and, when hot,
      *  superblock-promoting) on demand. nullptr when @p pc cannot be

@@ -1,11 +1,123 @@
 #include "mem/cache.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hpp"
 
 namespace reno
 {
+
+/**
+ * Timing half of Cache::access(): the next-level requests the tag
+ * routine issues go out at their modeled cycles, demand misses hold
+ * an MSHR (waiting for the earliest one to retire when all are busy),
+ * prefetch fills enter their bounded queue, and the data-ready cycle
+ * of the access is computed.
+ */
+struct Cache::TimedPort {
+    Cache &c;
+    const Cycle now;
+    /** Cycle of the fill in progress: a victim it evicts drains then.
+     *  Starts at now, when a pass-through Writeback drains. */
+    Cycle fillAt = now;
+    Cycle ready = 0;    //!< data-ready cycle of a demand hit or miss
+    Cycle drained = 0;  //!< drain cycle of a pass-through Writeback
+
+    void
+    hit(Addr block)
+    {
+        // The block may still be in flight (a demand miss or a
+        // prefetch fill): an access before the fill completes merges
+        // into the outstanding request.
+        const unsigned latency = c.params_.latency;
+        if (auto it = c.mshrs_.find(block); it != c.mshrs_.end()) {
+            ++c.mshrMerges_;
+            ready = it->second + latency;
+        } else if (auto pf = c.prefetchFills_.find(block);
+                   pf != c.prefetchFills_.end()) {
+            ++c.mshrMerges_;
+            ready = pf->second + latency;
+        } else {
+            ++c.hits_;
+            ready = now + latency;
+        }
+    }
+
+    void
+    demand(Addr addr, MemAccessKind kind)
+    {
+        // All MSHRs busy: wait for the earliest one to retire first.
+        Cycle start = now;
+        if (c.mshrs_.size() >= c.params_.numMshrs) {
+            Cycle earliest = InvalidCycle;
+            for (const auto &[blk, fill_cycle] : c.mshrs_) {
+                if (fill_cycle < earliest)
+                    earliest = fill_cycle;
+            }
+            for (auto it = c.mshrs_.begin(); it != c.mshrs_.end();) {
+                if (it->second <= earliest)
+                    it = c.mshrs_.erase(it);
+                else
+                    ++it;
+            }
+            start = std::max(start, earliest);
+        }
+        fillAt = start + c.params_.latency;
+        const Cycle fill_done = c.next_->access(addr, fillAt, kind);
+        c.mshrs_[c.blockAddr(addr)] = fill_done;
+        ready = fill_done + c.params_.latency;
+    }
+
+    void
+    prefetch(Addr block)
+    {
+        // The timing entry is recorded only while the queue has room:
+        // untracked fills are merely timing-optimistic, and the bound
+        // keeps the per-access retire scan O(numMshrs) instead of
+        // growing without limit when a long stream is fed at one
+        // cycle.
+        fillAt = now + c.params_.latency;
+        const Cycle done = c.next_->access(block * c.params_.blockBytes,
+                                           fillAt,
+                                           MemAccessKind::Prefetch);
+        if (c.prefetchFills_.size() < 2 * c.params_.numMshrs)
+            c.prefetchFills_[block] = done;
+    }
+
+    void
+    writeback(Addr addr)
+    {
+        drained = c.next_->access(addr, fillAt, MemAccessKind::Writeback);
+    }
+};
+
+/** Warming half: next-level requests recurse as warm accesses, in the
+ *  order the tag routine issues them; no cycle is computed. */
+struct Cache::WarmPort {
+    Cache &c;
+
+    void hit(Addr) { ++c.hits_; }
+
+    void
+    demand(Addr addr, MemAccessKind kind)
+    {
+        c.next_->warmAccess(addr, kind);
+    }
+
+    void
+    prefetch(Addr block)
+    {
+        c.next_->warmAccess(block * c.params_.blockBytes,
+                            MemAccessKind::Prefetch);
+    }
+
+    void
+    writeback(Addr addr)
+    {
+        c.next_->warmAccess(addr, MemAccessKind::Writeback);
+    }
+};
 
 Cache::Cache(const CacheParams &params, MemLevel *next)
     : params_(params), next_(next)
@@ -26,6 +138,8 @@ Cache::Cache(const CacheParams &params, MemLevel *next)
     numSets_ = params_.sizeBytes / (params_.blockBytes * params_.assoc);
     if (numSets_ == 0)
         fatal("cache %s: size smaller than one set", params_.name.c_str());
+    blockShift_ = static_cast<unsigned>(std::countr_zero(params_.blockBytes));
+    setMask_ = std::has_single_bit(numSets_) ? numSets_ - 1 : 0;
     lines_.resize(static_cast<size_t>(numSets_) * params_.assoc);
     prefetcher_ =
         makePrefetcher(params_.prefetch, params_.blockBytes,
@@ -56,8 +170,9 @@ Cache::probe(Addr addr) const
     return findLine(blockAddr(addr)) != nullptr;
 }
 
+template <class Port>
 void
-Cache::fill(Addr block, Cycle now, bool dirty, bool prefetched)
+Cache::fill(Addr block, bool dirty, bool prefetched, Port &port)
 {
     const unsigned set = setIndex(block);
     Line *victim = nullptr;
@@ -77,8 +192,7 @@ Cache::fill(Addr block, Cycle now, bool dirty, bool prefetched)
     if (victim->valid && victim->dirty) {
         ++writebacks_;
         if (params_.writebackTraffic)
-            next_->access(victim->tag * params_.blockBytes, now,
-                          MemAccessKind::Writeback);
+            port.writeback(victim->tag * params_.blockBytes);
     }
     if (victim->valid && evictionListener_)
         evictionListener_(victim->tag * params_.blockBytes,
@@ -86,8 +200,9 @@ Cache::fill(Addr block, Cycle now, bool dirty, bool prefetched)
     *victim = Line{true, dirty, prefetched, block, ++lruClock_};
 }
 
+template <class Port>
 void
-Cache::maybePrefetch(Addr block, bool miss, Cycle now)
+Cache::prefetchAround(Addr block, bool miss, Port &port)
 {
     if (!prefetcher_)
         return;
@@ -100,25 +215,16 @@ Cache::maybePrefetch(Addr block, bool miss, Cycle now)
         // the issue decision depends only on the tag array, keeping
         // tags a pure function of the demand stream (the property
         // that functional warming and checkpoint chop/resume
-        // identity rely on). The timing entry is recorded only while
-        // the queue has room: untracked fills are merely
-        // timing-optimistic, and the bound keeps the per-access
-        // retire scan O(numMshrs) instead of growing without limit
-        // under cycle-0 functional warming, where no entry ever
-        // retires.
-        const Cycle done =
-            next_->access(cand * params_.blockBytes,
-                          now + params_.latency,
-                          MemAccessKind::Prefetch);
-        if (prefetchFills_.size() < 2 * params_.numMshrs)
-            prefetchFills_[cand] = done;
-        fill(cand, now + params_.latency, false, true);
+        // identity rely on).
+        port.prefetch(cand);
+        fill(cand, false, true, port);
         ++prefetchIssued_;
     }
 }
 
-Cycle
-Cache::access(Addr addr, Cycle now, MemAccessKind kind)
+template <class Port>
+bool
+Cache::updateTags(Addr addr, MemAccessKind kind, Port &port)
 {
     const Addr block = blockAddr(addr);
 
@@ -128,16 +234,51 @@ Cache::access(Addr addr, Cycle now, MemAccessKind kind)
         // pass through without allocating.
         if (Line *line = findLine(block)) {
             line->dirty = true;
-            return now + params_.latency;
+            return true;
         }
-        return next_->access(addr, now, MemAccessKind::Writeback);
+        port.writeback(addr);
+        return false;
     }
 
     const bool demand = kind != MemAccessKind::Prefetch;
+    if (Line *line = findLine(block)) {
+        line->lruStamp = ++lruClock_;
+        if (demand && line->prefetched) {
+            ++prefetchUseful_;
+            line->prefetched = false;
+        }
+        if (kind == MemAccessKind::Write)
+            line->dirty = true;
+        port.hit(block);
+        if (demand)
+            prefetchAround(block, false, port);
+        return true;
+    }
+    ++misses_;
 
-    // Retire MSHRs and prefetch fills whose fills have landed
-    // (timing bookkeeping only; the tag array is updated eagerly at
-    // miss time).
+    // Eager tag fill: the line is installed (and a victim evicted) at
+    // miss time, after the request to the next level. The prefetched
+    // flag marks only lines installed by THIS level's prefetcher
+    // (prefetchAround), so a pass-through Prefetch fill from an upper
+    // level never credits this level's prefetchUseful counter.
+    port.demand(block * params_.blockBytes,
+                demand ? MemAccessKind::Read : MemAccessKind::Prefetch);
+    fill(block, kind == MemAccessKind::Write, false, port);
+    if (demand)
+        prefetchAround(block, true, port);
+    return false;
+}
+
+Cycle
+Cache::access(Addr addr, Cycle now, MemAccessKind kind)
+{
+    TimedPort port{*this, now};
+    if (kind == MemAccessKind::Writeback)
+        return updateTags(addr, kind, port) ? now + params_.latency
+                                            : port.drained;
+
+    // Retire MSHRs and prefetch fills whose fills have landed (the
+    // tag array is updated eagerly at miss time).
     for (auto it = mshrs_.begin(); it != mshrs_.end();) {
         if (it->second <= now)
             it = mshrs_.erase(it);
@@ -151,69 +292,15 @@ Cache::access(Addr addr, Cycle now, MemAccessKind kind)
         else
             ++it;
     }
+    updateTags(addr, kind, port);
+    return port.ready;
+}
 
-    if (Line *line = findLine(block)) {
-        line->lruStamp = ++lruClock_;
-        if (demand && line->prefetched) {
-            ++prefetchUseful_;
-            line->prefetched = false;
-        }
-        if (kind == MemAccessKind::Write)
-            line->dirty = true;
-        Cycle ready;
-        // The block may still be in flight (a demand miss or a
-        // prefetch fill): an access before the fill completes merges
-        // into the outstanding request.
-        if (auto it = mshrs_.find(block); it != mshrs_.end()) {
-            ++mshrMerges_;
-            ready = it->second + params_.latency;
-        } else if (auto pf = prefetchFills_.find(block);
-                   pf != prefetchFills_.end()) {
-            ++mshrMerges_;
-            ready = pf->second + params_.latency;
-        } else {
-            ++hits_;
-            ready = now + params_.latency;
-        }
-        if (demand)
-            maybePrefetch(block, false, now);
-        return ready;
-    }
-    ++misses_;
-
-    // All MSHRs busy: wait for the earliest one to retire first.
-    Cycle start = now;
-    if (mshrs_.size() >= params_.numMshrs) {
-        Cycle earliest = InvalidCycle;
-        for (const auto &[blk, fill_cycle] : mshrs_) {
-            if (fill_cycle < earliest)
-                earliest = fill_cycle;
-        }
-        for (auto it = mshrs_.begin(); it != mshrs_.end();) {
-            if (it->second <= earliest)
-                it = mshrs_.erase(it);
-            else
-                ++it;
-        }
-        start = std::max(start, earliest);
-    }
-
-    const Cycle fill_done =
-        next_->access(block * params_.blockBytes,
-                      start + params_.latency,
-                      demand ? MemAccessKind::Read
-                             : MemAccessKind::Prefetch);
-    mshrs_[block] = fill_done;
-    // Eager tag fill: the line is installed (and a victim evicted) at
-    // miss time; the MSHR entry carries the timing. The prefetched
-    // flag marks only lines installed by THIS level's prefetcher
-    // (maybePrefetch), so a pass-through Prefetch fill from an upper
-    // level never credits this level's prefetchUseful counter.
-    fill(block, start + params_.latency,
-         kind == MemAccessKind::Write, false);
-    if (demand)
-        maybePrefetch(block, true, now);
-    return fill_done + params_.latency;
+void
+Cache::warmAccess(Addr addr, MemAccessKind kind)
+{
+    WarmPort port{*this};
+    updateTags(addr, kind, port);
 }
 
 Cache::CohResult

@@ -9,6 +9,19 @@
  * so evicted victims generate modeled write-back traffic (when the
  * level is configured for it), and an optional per-level prefetcher
  * (mem/prefetcher.hpp) rides the demand stream.
+ *
+ * An access has two halves. The tag routine (updateTags) owns every
+ * tag-state transition: lookup, LRU, dirty and prefetched flags, the
+ * fill with its victim write-back, and prefetcher training and issue.
+ * Its next-level requests go through a port. access() supplies the
+ * timing port: MSHRs, the prefetch-fill queue, modeled cycles.
+ * warmAccess() supplies the warming port, which recurses to the next
+ * level's warmAccess() and computes no cycle. Both ports see the same
+ * requests in the same order: the demand miss, then the victim
+ * write-back, then the prefetches. Because tag fills are eager and
+ * never depend on a cycle, a stream fed through warmAccess() leaves
+ * exactly the tags, flags and training that access() leaves. This is
+ * what functional warming (sample/warmup.hpp) relies on.
  */
 #pragma once
 
@@ -83,6 +96,10 @@ class Cache final : public MemLevel
      * or forward without allocating.
      */
     Cycle access(Addr addr, Cycle now, MemAccessKind kind) override;
+
+    /** The tag-state half of access() alone (see the file comment):
+     *  no MSHR or prefetch-fill bookkeeping, no cycles. */
+    void warmAccess(Addr addr, MemAccessKind kind) override;
 
     /** True iff @p addr would hit right now (no state change). */
     bool probe(Addr addr) const override;
@@ -162,20 +179,41 @@ class Cache final : public MemLevel
         std::uint64_t lruStamp = 0;
     };
 
-    Addr blockAddr(Addr addr) const { return addr / params_.blockBytes; }
-    unsigned setIndex(Addr block) const { return block % numSets_; }
+    struct TimedPort;
+    struct WarmPort;
+
+    Addr blockAddr(Addr addr) const { return addr >> blockShift_; }
+    unsigned
+    setIndex(Addr block) const
+    {
+        return static_cast<unsigned>(setMask_ ? block & setMask_
+                                              : block % numSets_);
+    }
 
     Line *findLine(Addr block);
     const Line *findLine(Addr block) const;
 
+    /** The tag routine shared by access() and warmAccess(); next-level
+     *  requests go through @p port. Returns whether @p addr's block
+     *  was present. */
+    template <class Port>
+    bool updateTags(Addr addr, MemAccessKind kind, Port &port);
+
     /** Install @p block, evicting (and possibly writing back) LRU. */
-    void fill(Addr block, Cycle now, bool dirty, bool prefetched);
+    template <class Port>
+    void fill(Addr block, bool dirty, bool prefetched, Port &port);
 
     /** Run the prefetcher on a demand access and issue its fills. */
-    void maybePrefetch(Addr block, bool miss, Cycle now);
+    template <class Port>
+    void prefetchAround(Addr block, bool miss, Port &port);
 
     CacheParams params_;
     unsigned numSets_;
+    unsigned blockShift_ = 0;  //!< log2(blockBytes)
+    /** numSets_ - 1 when numSets_ is a power of two, else 0 (index
+     *  by modulo). A one-set cache has mask 0 and modulo 1: both
+     *  give set 0. */
+    Addr setMask_ = 0;
     std::vector<Line> lines_;      //!< numSets_ * assoc
     std::uint64_t lruClock_ = 0;
 

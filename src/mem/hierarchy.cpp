@@ -107,6 +107,21 @@ MemHierarchy::dataAccess(Addr addr, Cycle now, bool is_write)
 }
 
 void
+MemHierarchy::warmFetch(Addr pc)
+{
+    icache_->warmAccess(pc, MemAccessKind::Read);
+}
+
+void
+MemHierarchy::warmData(Addr addr, bool is_write)
+{
+    if (attach_.bus)
+        attach_.bus->beforeDataAccess(attach_.coreId, addr, is_write, 0);
+    dcache_->warmAccess(addr, is_write ? MemAccessKind::Write
+                                       : MemAccessKind::Read);
+}
+
+void
 MemHierarchy::flush()
 {
     for (Cache *level : levelsMutable())

@@ -81,6 +81,15 @@ class MemHierarchy
      *  and its penalty delays the D$ lookup. */
     Cycle dataAccess(Addr addr, Cycle now, bool is_write);
 
+    /**
+     * Functional-warming twins of fetchAccess()/dataAccess(): the same
+     * tag-state changes through Cache::warmAccess(), with no timing.
+     * In attached mode the coherence bus still updates its directory
+     * and the remote L1s first; its latency penalty is dropped.
+     */
+    void warmFetch(Addr pc);
+    void warmData(Addr addr, bool is_write);
+
     /** Coherence-bus penalty the most recent dataAccess paid (cycles;
      *  always 0 in single-core/owning mode). CPI-stack attribution. */
     Cycle lastCohPenalty() const { return lastCohPenalty_; }

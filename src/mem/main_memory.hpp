@@ -34,6 +34,9 @@ class MainMemory final : public MemLevel
     MainMemory(const MemoryParams &params, unsigned transfer_bytes);
 
     Cycle access(Addr addr, Cycle now, MemAccessKind kind) override;
+    /** Nothing to warm: the bus is timing state and settles before
+     *  measurement. */
+    void warmAccess(Addr, MemAccessKind) override {}
     bool probe(Addr) const override { return true; }
     void flush() override { busFreeCycle_ = 0; }
     const std::string &name() const override { return name_; }

@@ -41,6 +41,13 @@ class MemLevel
      */
     virtual Cycle access(Addr addr, Cycle now, MemAccessKind kind) = 0;
 
+    /**
+     * Functional-warming access: the state change access() makes,
+     * without timing. A level passes its own next-level requests on
+     * as warm accesses, in the order access() would issue them.
+     */
+    virtual void warmAccess(Addr addr, MemAccessKind kind) = 0;
+
     /** True iff @p addr would hit right now (no state change). */
     virtual bool probe(Addr addr) const = 0;
 

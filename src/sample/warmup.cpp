@@ -1,7 +1,11 @@
 #include "sample/warmup.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/digest.hpp"
 #include "common/log.hpp"
+#include "emu/exec_decoded.hpp"
 
 namespace reno::sample
 {
@@ -155,6 +159,54 @@ WarmState::build()
     lastFetchBlock_.assign(numCores_, ~Addr{0});
 }
 
+namespace
+{
+
+/**
+ * Emulator event sink (emu/emulator.hpp) feeding one core's executed
+ * instructions into its slice of a WarmState, through the tag-only
+ * warm access path.
+ */
+class WarmSink
+{
+  public:
+    WarmSink(WarmState &warm, unsigned core)
+        : mem_(warm.coreMem(core)), bp_(warm.coreBp(core)),
+          lastBlock_(warm.lastFetchBlock(core)),
+          blockShift_(static_cast<unsigned>(std::countr_zero(
+              warm.memParams().icache.blockBytes)))
+    {
+    }
+
+    /** One I$ access per fetched block, matching the core's fetch. */
+    void
+    fetch(Addr pc)
+    {
+        const Addr block = pc >> blockShift_;
+        if (block != lastBlock_) {
+            mem_.warmFetch(pc);
+            lastBlock_ = block;
+        }
+    }
+
+    void data(Addr addr, bool is_store) { mem_.warmData(addr, is_store); }
+
+    void
+    control(Addr pc, const Instruction &inst, bool taken, Addr npc)
+    {
+        bp_.predict(pc, inst);
+        bp_.update(pc, inst, taken, npc);
+    }
+
+  private:
+    MemHierarchy &mem_;
+    BranchPredictor &bp_;
+    Addr &lastBlock_;
+    unsigned blockShift_;  //!< log2 of the I$ block (a power of two)
+};
+
+} // namespace
+
 void
 warmStep(const std::vector<Emulator *> &emus, WarmState &warm,
          std::uint64_t aggregate_bound)
@@ -163,46 +215,41 @@ warmStep(const std::vector<Emulator *> &emus, WarmState &warm,
         fatal("warmStep: %u-core warm state given %zu emulators",
               warm.numCores(), emus.size());
 
-    const Addr iblock_bytes = warm.memParams().icache.blockBytes;
     std::uint64_t total = 0;
     for (const Emulator *emu : emus)
         total += emu->instCount();
 
+    const std::size_t n = emus.size();
     while (total < aggregate_bound) {
         // The live emulator with the fewest executed instructions,
         // ties to the lowest core id: the stateless round-robin rule
         // (see the header comment).
-        Emulator *next = nullptr;
-        unsigned next_core = 0;
-        for (unsigned i = 0; i < emus.size(); ++i) {
-            if (emus[i]->done())
-                continue;
-            if (!next || emus[i]->instCount() < next->instCount()) {
-                next = emus[i];
-                next_core = i;
-            }
+        std::size_t core = n;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!emus[i]->done() &&
+                (core == n ||
+                 emus[i]->instCount() < emus[core]->instCount()))
+                core = i;
         }
-        if (!next)
+        if (core == n)
             break;  // every program exited before the bound
 
-        const Addr pc = next->state().pc;
-        const ExecRecord rec = next->step();
-        ++total;
-        const Addr block = pc / iblock_bytes;
-        if (block != warm.lastFetchBlock(next_core)) {
-            warm.coreMem(next_core).fetchAccess(pc, 0);
-            warm.lastFetchBlock(next_core) = block;
+        // Run it as far as the rule keeps choosing it: up to the count
+        // of a live lower-id core (a tie goes to that core), one past
+        // the count of a live higher-id core, and no further than the
+        // aggregate bound. Alone, a core runs to the bound in one
+        // turn; in lockstep, each turn is one instruction.
+        const std::uint64_t own = emus[core]->instCount();
+        std::uint64_t stop = own + (aggregate_bound - total);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i == core || emus[i]->done())
+                continue;
+            const std::uint64_t count = emus[i]->instCount();
+            stop = std::min(stop, i < core ? count : count + 1);
         }
-        const InstClass cls = rec.inst.info().cls;
-        if (cls == InstClass::Load) {
-            warm.coreMem(next_core).dataAccess(rec.effAddr, 0, false);
-        } else if (cls == InstClass::Store) {
-            warm.coreMem(next_core).dataAccess(rec.effAddr, 0, true);
-        } else if (isControl(rec.inst.op)) {
-            warm.coreBp(next_core).predict(pc, rec.inst);
-            warm.coreBp(next_core).update(pc, rec.inst, rec.taken,
-                                          rec.npc);
-        }
+        WarmSink sink(warm, static_cast<unsigned>(core));
+        emus[core]->runUntil(stop, sink);
+        total += emus[core]->instCount() - own;
     }
 }
 

@@ -16,10 +16,13 @@
  * parameters and the core count, never on the RENO configuration, so
  * one warming pass serves every configuration of a sweep.
  *
- * Warming consumes the emulator one step() at a time (it must see
- * every access); the decoded-superblock engine still accelerates it
- * through the per-step block cursor, and accelerates the access-blind
- * fast-forward to the first window by the full superblock margin.
+ * Warming runs on the decoded-superblock engine: Emulator::runUntil
+ * with an event sink reports each instruction's fetch, load/store
+ * address and control outcome, and the sink feeds them into the
+ * caches through the tag-only warm access path (Cache::warmAccess: no
+ * MSHRs, no cycles) and into the branch predictor. No ExecRecord is
+ * built and no instruction is decoded twice, so warming runs close to
+ * emulator speed.
  */
 #pragma once
 
@@ -121,19 +124,22 @@ class WarmState
 };
 
 /**
- * Functional warming: step the emulators (one per core of @p warm,
+ * Functional warming: run the emulators (one per core of @p warm,
  * core order) until their aggregate executed-instruction count
  * reaches @p aggregate_bound (or every program exits), feeding each
  * core's fetch/branch/data streams into its slice of @p warm through
- * the shared stack and the warming bus. All accesses are fed at
- * cycle 0: tag fills are eager, so the warmed tables are independent
- * of timing.
+ * the shared stack and the warming bus. Accesses carry no time: tag
+ * fills are eager, so the warmed tables are independent of timing.
  *
- * The interleave rule is stateless -- always step the live emulator
- * with the fewest executed instructions, ties to the lowest core id
- * -- which produces the canonical one-instruction round-robin in
- * core order and, crucially, resumes bit-exactly from a chop at ANY
- * aggregate bound: warming composes across checkpoint boundaries.
+ * The interleave rule is stateless -- the next instruction is always
+ * the live emulator's with the fewest executed instructions, ties to
+ * the lowest core id -- which produces the canonical one-instruction
+ * round-robin in core order and, crucially, resumes bit-exactly from
+ * a chop at ANY aggregate bound: warming composes across checkpoint
+ * boundaries. Each turn runs the chosen core for as many
+ * instructions as the rule keeps choosing it: the whole span for one
+ * core (or for the last live one), one instruction for cores in
+ * lockstep.
  */
 void warmStep(const std::vector<Emulator *> &emus, WarmState &warm,
               std::uint64_t aggregate_bound);

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "mem/hierarchy.hpp"
 #include "mem/sparse_memory.hpp"
 
@@ -93,6 +94,11 @@ struct NextLevelStub final : MemLevel {
             ++prefetches;
         ++calls;
         return now + latency;
+    }
+    void
+    warmAccess(Addr addr, MemAccessKind kind) override
+    {
+        access(addr, 0, kind);
     }
     bool probe(Addr) const override { return true; }
     void flush() override {}
@@ -357,6 +363,136 @@ TEST(Hierarchy, CopyStateFromAndSettle)
     EXPECT_TRUE(c.importState(a.exportState()));
     EXPECT_TRUE(c.dcacheProbe(0x4000));
     EXPECT_TRUE(c.l2Probe(0x4000));
+}
+
+// ---- warm access path -----------------------------------------------
+
+namespace
+{
+
+/** Terminal level that logs every request it receives, in order. */
+struct RequestLog final : MemLevel {
+    std::vector<std::pair<Addr, MemAccessKind>> requests;
+    std::string label = "log";
+
+    Cycle
+    access(Addr addr, Cycle now, MemAccessKind kind) override
+    {
+        requests.emplace_back(addr, kind);
+        return now + 40;
+    }
+    void
+    warmAccess(Addr addr, MemAccessKind kind) override
+    {
+        requests.emplace_back(addr, kind);
+    }
+    bool probe(Addr) const override { return true; }
+    void flush() override {}
+    const std::string &name() const override { return label; }
+};
+
+void
+expectSameCacheState(const Cache &a, const Cache &b)
+{
+    const CacheState sa = a.exportState();
+    const CacheState sb = b.exportState();
+    EXPECT_EQ(sa.lruClock, sb.lruClock) << a.name();
+    ASSERT_EQ(sa.validLines.size(), sb.validLines.size()) << a.name();
+    for (std::size_t i = 0; i < sa.validLines.size(); ++i) {
+        const CacheState::Line &x = sa.validLines[i];
+        const CacheState::Line &y = sb.validLines[i];
+        EXPECT_EQ(x.index, y.index) << a.name() << " line " << i;
+        EXPECT_EQ(x.tag, y.tag) << a.name() << " line " << i;
+        EXPECT_EQ(x.lruStamp, y.lruStamp) << a.name() << " line " << i;
+        EXPECT_EQ(x.dirty, y.dirty) << a.name() << " line " << i;
+        EXPECT_EQ(x.prefetched, y.prefetched)
+            << a.name() << " line " << i;
+    }
+    ASSERT_EQ(sa.prefetch.entries.size(), sb.prefetch.entries.size())
+        << a.name();
+    for (std::size_t i = 0; i < sa.prefetch.entries.size(); ++i) {
+        const PrefetchState::Entry &x = sa.prefetch.entries[i];
+        const PrefetchState::Entry &y = sb.prefetch.entries[i];
+        EXPECT_EQ(x.index, y.index) << a.name() << " entry " << i;
+        EXPECT_EQ(x.regionTag, y.regionTag) << a.name() << " entry " << i;
+        EXPECT_EQ(x.lastBlock, y.lastBlock) << a.name() << " entry " << i;
+        EXPECT_EQ(x.stride, y.stride) << a.name() << " entry " << i;
+        EXPECT_EQ(x.confidence, y.confidence)
+            << a.name() << " entry " << i;
+    }
+    EXPECT_EQ(a.misses(), b.misses()) << a.name();
+    EXPECT_EQ(a.writebacks(), b.writebacks()) << a.name();
+    EXPECT_EQ(a.prefetchIssued(), b.prefetchIssued()) << a.name();
+    EXPECT_EQ(a.prefetchUseful(), b.prefetchUseful()) << a.name();
+}
+
+} // namespace
+
+TEST(WarmAccess, MatchesTimedAccessAtCycleZeroAtEveryLevel)
+{
+    // Two levels over a logging terminal, both with stride
+    // prefetchers, write-back traffic and only two MSHRs, so the
+    // timed path stalls on full MSHRs and its prefetch-fill queue
+    // saturates. Fed the same stream, the timed access at cycle 0
+    // and the warm access must leave the same tags, LRU, flags and
+    // training at both levels, and send the same requests, in the
+    // same order, to the level below.
+    CacheParams l1 = smallCache();
+    l1.name = "l1";
+    l1.sizeBytes = 512;
+    l1.prefetch.kind = PrefetchKind::Stride;
+    l1.prefetch.degree = 2;
+    l1.prefetch.tableEntries = 8;
+    l1.prefetch.regionBytes = 1024;
+    l1.writebackTraffic = true;
+    CacheParams l2 = l1;
+    l2.name = "l2";
+    l2.sizeBytes = 2048;
+    l2.assoc = 4;
+    l2.blockBytes = 64;
+    l2.prefetch.kind = PrefetchKind::NextLine;
+
+    RequestLog timed_log, warm_log;
+    Cache timed_l2(l2, &timed_log), warm_l2(l2, &warm_log);
+    Cache timed_l1(l1, &timed_l2), warm_l1(l1, &warm_l2);
+
+    Rng rng(7);
+    Addr stride_ptr = 0x10000;
+    for (unsigned i = 0; i < 4000; ++i) {
+        Addr addr;
+        switch (rng.below(3)) {
+          case 0:  // strided stream: trains the stride prefetcher
+            addr = stride_ptr;
+            stride_ptr += 96;
+            break;
+          case 1:  // scattered: conflict misses, dirty victims
+            addr = 0x40000 + rng.below(64) * 32;
+            break;
+          default:  // reuse of a small hot set
+            addr = 0x8000 + rng.below(8) * 32;
+            break;
+        }
+        const MemAccessKind kind = rng.below(3) == 0
+                                       ? MemAccessKind::Write
+                                       : MemAccessKind::Read;
+        timed_l1.access(addr, 0, kind);
+        warm_l1.warmAccess(addr, kind);
+    }
+
+    EXPECT_GT(timed_l1.misses(), 100u) << "stream must overflow MSHRs";
+    EXPECT_GT(timed_l1.writebacks(), 0u);
+    EXPECT_GT(timed_l1.prefetchIssued(), 0u);
+    EXPECT_GT(timed_l2.prefetchIssued(), 0u);
+    expectSameCacheState(timed_l1, warm_l1);
+    expectSameCacheState(timed_l2, warm_l2);
+    ASSERT_EQ(timed_log.requests.size(), warm_log.requests.size());
+    for (std::size_t i = 0; i < timed_log.requests.size(); ++i) {
+        EXPECT_EQ(timed_log.requests[i].first, warm_log.requests[i].first)
+            << "request " << i;
+        EXPECT_EQ(timed_log.requests[i].second,
+                  warm_log.requests[i].second)
+            << "request " << i;
+    }
 }
 
 // ---- parameter validation ---------------------------------------------

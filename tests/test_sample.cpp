@@ -28,6 +28,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "asm/assembler.hpp"
 #include "common/digest.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -738,6 +739,264 @@ TEST(MultiWarming, ChopResumeThroughSerializationIsBitExact)
         EXPECT_EQ(CheckpointStore::encode(multiCkpt(resumed, warm)),
                   want)
             << cores << " cores: chop/resume diverged";
+    }
+}
+
+// ---- warming against a step()-based reference ------------------------
+
+namespace
+{
+
+/**
+ * The oracle for warmStep: one step() per instruction under the
+ * stateless interleave rule (fewest executed instructions, ties to
+ * the lowest core id), every access through the timed hierarchy at
+ * cycle 0, every control op through predict() and update() with the
+ * ExecRecord's outcome. When @p exits is non-null it receives the
+ * aggregate count at which each program exits.
+ */
+void
+referenceWarm(const std::vector<Emulator *> &emus, WarmState &warm,
+              std::uint64_t bound,
+              std::vector<std::uint64_t> *exits = nullptr)
+{
+    const Addr iblock = warm.memParams().icache.blockBytes;
+    std::uint64_t total = 0;
+    for (const Emulator *emu : emus)
+        total += emu->instCount();
+    while (total < bound) {
+        unsigned core = 0;
+        Emulator *next = nullptr;
+        for (unsigned i = 0; i < emus.size(); ++i) {
+            if (!emus[i]->done() &&
+                (!next || emus[i]->instCount() < next->instCount())) {
+                next = emus[i];
+                core = i;
+            }
+        }
+        if (!next)
+            break;
+        const Addr pc = next->state().pc;
+        const ExecRecord rec = next->step();
+        ++total;
+        if (rec.exited && exits)
+            exits->push_back(total);
+        if (pc / iblock != warm.lastFetchBlock(core)) {
+            warm.coreMem(core).fetchAccess(pc, 0);
+            warm.lastFetchBlock(core) = pc / iblock;
+        }
+        const InstClass cls = rec.inst.info().cls;
+        if (cls == InstClass::Load || cls == InstClass::Store) {
+            warm.coreMem(core).dataAccess(rec.effAddr, 0,
+                                          cls == InstClass::Store);
+        } else if (isControl(rec.inst.op)) {
+            warm.coreBp(core).predict(pc, rec.inst);
+            warm.coreBp(core).update(pc, rec.inst, rec.taken, rec.npc);
+        }
+    }
+}
+
+/** Every exported piece of warm and functional state: per-core
+ *  emulator checkpoints, cache tags/LRU/flags/training at every
+ *  level, the MESI directory, predictor tables, last I$ blocks. */
+std::string
+warmEncoding(const std::vector<Emulator *> &emus, const WarmState &warm)
+{
+    SampleCheckpoint ckpt;
+    for (const Emulator *emu : emus)
+        ckpt.emus.push_back(
+            std::make_shared<const EmuCheckpoint>(emu->checkpoint()));
+    ckpt.warm = std::make_shared<const WarmState>(warm);
+    return CheckpointStore::encode(ckpt);
+}
+
+/**
+ * Warm @p cores emulators built by @p make twice -- warmStep chopped
+ * at every bound of @p chops (ascending), and the reference chopped at
+ * the same bounds -- and require identical state at every chop. Also
+ * chops at each program's exit and one instruction either side.
+ */
+template <class Make>
+void
+expectWarmingMatchesReference(Make make, unsigned cores,
+                              std::vector<std::uint64_t> chops,
+                              const std::string &label)
+{
+    const CoreParams params = baseParams();
+    {
+        // Exit positions, from a reference pass of its own.
+        std::vector<std::unique_ptr<Emulator>> owned = make(cores);
+        std::vector<Emulator *> emus;
+        for (const auto &e : owned)
+            emus.push_back(e.get());
+        WarmState warm(params.mem, params.bpred, cores);
+        std::vector<std::uint64_t> exits;
+        referenceWarm(emus, warm, chops.back(), &exits);
+        for (const std::uint64_t at : exits) {
+            chops.push_back(at - 1);
+            chops.push_back(at);
+            chops.push_back(at + 1);
+        }
+        std::sort(chops.begin(), chops.end());
+        chops.erase(std::unique(chops.begin(), chops.end()),
+                    chops.end());
+    }
+
+    std::vector<std::unique_ptr<Emulator>> ref_owned = make(cores);
+    std::vector<std::unique_ptr<Emulator>> eng_owned = make(cores);
+    std::vector<Emulator *> ref, eng;
+    for (unsigned i = 0; i < cores; ++i) {
+        ref.push_back(ref_owned[i].get());
+        eng.push_back(eng_owned[i].get());
+    }
+    WarmState ref_warm(params.mem, params.bpred, cores);
+    WarmState eng_warm(params.mem, params.bpred, cores);
+    for (const std::uint64_t bound : chops) {
+        referenceWarm(ref, ref_warm, bound);
+        warmStep(eng, eng_warm, bound);
+        ASSERT_EQ(warmEncoding(eng, eng_warm), warmEncoding(ref, ref_warm))
+            << label << ", " << cores << " cores: diverged at aggregate "
+            << "bound " << bound;
+    }
+}
+
+/** SPMD emulators of a registry workload (makeEmulators). */
+auto
+workloadEmus(const char *name)
+{
+    return [name](unsigned cores) {
+        EmulatorSet set = makeEmulators(workloadByName(name), cores);
+        return std::move(set.owned);
+    };
+}
+
+/** Bounds 1..5, a few scattered primes, then every 37th instruction
+ *  over a stretch where hot blocks are superblocks, then @p last. */
+std::vector<std::uint64_t>
+chopSchedule(std::uint64_t stretch, std::uint64_t last)
+{
+    std::vector<std::uint64_t> chops = {1, 2, 3, 4, 5, 97, 1031, 7919};
+    for (std::uint64_t b = stretch; b < stretch + 3000; b += 37)
+        chops.push_back(b);
+    chops.push_back(last);
+    return chops;
+}
+
+/** A loop whose 50th iteration patches its own first instruction,
+ *  with a BR hop so the loop body is chained into a superblock before
+ *  the patch, and a load and a store per iteration. */
+std::string
+selfModifyingSource()
+{
+    const std::uint32_t patched =
+        encode(Instruction::ri(Opcode::ADDI, 1, 1, 2));
+    return strprintf(R"(
+_start:
+    li r1, 0
+    li r2, 0
+    la r3, patchme
+    li r4, %u
+    li r5, 200
+    la r7, slot
+loop:
+patchme:
+    addi r1, r1, 1
+    br hop
+hop:
+    addi r2, r2, 1
+    stq r1, 0(r7)
+    ldq r8, 0(r7)
+    seqi r6, r2, 50
+    beq r6, skip
+    stl r4, 0(r3)
+skip:
+    slt r6, r2, r5
+    bne r6, loop
+    mov a0, r8
+    li v0, 1
+    syscall
+    li v0, 0
+    syscall
+.data
+slot:
+    .quad 0
+)", patched);
+}
+
+} // namespace
+
+TEST(WarmingReference, MatchesStepReferenceAtOneTwoAndFourCores)
+{
+    // Mid-block and mid-superblock chops on a long single-core run,
+    // and SPMD runs at 2 and 4 cores through every core's exit.
+    expectWarmingMatchesReference(workloadEmus("synth.mix"), 1,
+                                  chopSchedule(100'000, 300'000),
+                                  "synth.mix");
+    expectWarmingMatchesReference(workloadEmus("gzip"), 2,
+                                  chopSchedule(60'000, 200'000), "gzip");
+    expectWarmingMatchesReference(workloadEmus("multi.stream"), 2,
+                                  chopSchedule(100'000, 400'000),
+                                  "multi.stream");
+    expectWarmingMatchesReference(workloadEmus("multi.false"), 4,
+                                  chopSchedule(100'000, 300'000),
+                                  "multi.false");
+}
+
+TEST(WarmingReference, SelfModifyingProgramMatchesStepReference)
+{
+    const Program prog = assemble(selfModifyingSource());
+    const auto make = [&prog](unsigned cores) {
+        std::vector<std::unique_ptr<Emulator>> out;
+        for (unsigned i = 0; i < cores; ++i)
+            out.push_back(std::make_unique<Emulator>(prog));
+        return out;
+    };
+    for (const unsigned cores : {1u, 2u}) {
+        std::vector<std::uint64_t> chops;
+        for (std::uint64_t b = 1; b < 5000; b += 7)
+            chops.push_back(b);
+        expectWarmingMatchesReference(make, cores, chops, "smc");
+    }
+
+    // The program did patch itself under warming, and chained.
+    Emulator emu(prog);
+    WarmState warm(baseParams().mem, baseParams().bpred);
+    warmStep(emu, warm, 1'000'000);
+    ASSERT_TRUE(emu.done());
+    EXPECT_EQ(emu.output(), "350");  // 50 x 1, then 150 x 2
+    EXPECT_GT(emu.blockStats().superblocksChained, 0u);
+    EXPECT_GT(emu.blockStats().invalidatedBlocks, 0u);
+}
+
+TEST(WarmingReference, EncodedCheckpointsAtPlannedWindowsArePinned)
+{
+    // Digest of the encoded checkpoint at every planned window start
+    // (default SamplePlan) of two synth programs and one multi kernel.
+    // The values were recorded with the step()-driven warming that
+    // predates the decoded-engine warming path; any change to warm
+    // state, emulator state or the encoding moves them.
+    struct Pin {
+        const char *workload;
+        unsigned cores;
+        std::uint64_t digest;
+    };
+    const CoreParams params = CoreParams::fourWide();
+    for (const Pin &pin : {Pin{"synth.plain", 1, 0x95cae451eb7c1b0dULL},
+                           Pin{"synth.chase", 1, 0x2d9827c4f9cfea91ULL},
+                           Pin{"multi.false", 2, 0x1d488b0b9a83c231ULL}}) {
+        const Workload &w = workloadByName(pin.workload);
+        const std::uint64_t total =
+            pin.cores == 1 ? runFunctional(w).emuInsts
+                           : runFunctionalMulti(w, pin.cores).emuInsts;
+        EmulatorSet emus = makeEmulators(w, pin.cores);
+        WarmState warm(params.mem, params.bpred, pin.cores);
+        Fnv64 h;
+        for (const PlannedInterval &p :
+             planIntervals(total, SamplePlan{})) {
+            warmStep(emus.cores, warm, p.window.startInst);
+            h.update(warmEncoding(emus.cores, warm));
+        }
+        EXPECT_EQ(h.value(), pin.digest) << pin.workload;
     }
 }
 
