@@ -25,7 +25,8 @@
  *                            startup/finish bubbles
  *
  * The accountant increments exactly one bucket per CommitStage::tick,
- * and Core::tick calls the commit stage exactly once per cycle, so
+ * Core::tick calls the commit stage exactly once per cycle, and an
+ * idle skip of k cycles charges one bucket k times, so
  *
  *   sum(buckets) == cycles   (per core, by construction).
  *
@@ -68,9 +69,9 @@ struct CpiStack {
     std::array<std::uint64_t, NumCpiBuckets> cycles{};
 
     void
-    inc(CpiBucket b)
+    inc(CpiBucket b, std::uint64_t n = 1)
     {
-        ++cycles[static_cast<std::size_t>(b)];
+        cycles[static_cast<std::size_t>(b)] += n;
     }
 
     std::uint64_t

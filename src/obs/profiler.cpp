@@ -39,7 +39,7 @@ HotspotProfile::HotspotProfile(std::size_t slots)
 }
 
 HotspotProfile::Slot *
-HotspotProfile::find(Addr pc)
+HotspotProfile::find(Addr pc, std::uint64_t events)
 {
     std::size_t i = hashPc(pc) & mask_;
     for (std::size_t probe = 0; probe < MaxProbe; ++probe) {
@@ -53,7 +53,7 @@ HotspotProfile::find(Addr pc)
             return &s;
         }
     }
-    ++dropped_;
+    dropped_ += events;
     return nullptr;
 }
 

@@ -41,12 +41,12 @@ class HotspotProfile
             ++s->retired;
     }
 
-    /** Charge one commit-blocked cycle to the ROB head @p pc. */
+    /** Charge @p n commit-blocked cycles to the ROB head @p pc. */
     void
-    stall(Addr pc)
+    stall(Addr pc, std::uint64_t n = 1)
     {
-        if (Slot *s = find(pc))
-            ++s->stallCycles;
+        if (Slot *s = find(pc, n))
+            s->stallCycles += n;
     }
 
     /** Top @p n entries by retired count (desc, pc-asc tiebreak). */
@@ -67,7 +67,9 @@ class HotspotProfile
         std::uint64_t stallCycles = 0;
     };
 
-    Slot *find(Addr pc);
+    /** @p pc's slot, claimed on first sight; null (and @p events
+     *  more dropped) when the table is full. */
+    Slot *find(Addr pc, std::uint64_t events = 1);
     std::vector<Entry> top(std::size_t n, bool by_stall) const;
 
     std::vector<Slot> slots_;

@@ -1,5 +1,7 @@
 #include "pipeline/commit_stage.hpp"
 
+#include <algorithm>
+
 namespace reno
 {
 
@@ -86,15 +88,27 @@ CommitStage::tick()
             break;
         }
     }
+    if (committed > 0)
+        s_.active = true;
 
     if (cpi_ || hot_)
         account(committed, retire_port_stall);
 }
 
+void
+CommitStage::skipIdle(Cycle cycles)
+{
+    s_.drainQueue -= static_cast<unsigned>(
+        std::min<Cycle>(cycles, s_.drainQueue));
+    if (cpi_ || hot_)
+        account(0, false, cycles);
+}
+
 /**
- * One bucket per tick. Core::tick calls CommitStage::tick exactly once
- * per cycle, so the buckets sum to the cycle count by construction;
- * the tree below only decides WHICH bucket this cycle lands in.
+ * One bucket per cycle. Core::tick calls CommitStage::tick exactly
+ * once per cycle, and an idle skip charges one bucket per skipped
+ * cycle, so the buckets sum to the cycle count by construction; the
+ * tree below only decides WHICH bucket this cycle lands in.
  *
  * Priority (first match wins):
  *   committed > 0                      -> base
@@ -105,12 +119,13 @@ CommitStage::tick()
  *                                         fetch-wait hint, else drain
  */
 void
-CommitStage::account(unsigned committed, bool retire_port_stall)
+CommitStage::account(unsigned committed, bool retire_port_stall,
+                     std::uint64_t cycles)
 {
     using obs::CpiBucket;
 
     if (hot_ && committed == 0 && !s_.rob.empty())
-        hot_->stall(s_.rob.front()->rec.pc);
+        hot_->stall(s_.rob.front()->rec.pc, cycles);
     if (!cpi_)
         return;
 
@@ -168,7 +183,7 @@ CommitStage::account(unsigned committed, bool retire_port_stall)
           case FetchWait::None: b = CpiBucket::Drain; break;
         }
     }
-    cpi_->inc(b);
+    cpi_->inc(b, cycles);
 }
 
 } // namespace reno

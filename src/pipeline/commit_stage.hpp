@@ -35,6 +35,12 @@ class CommitStage
 
     void tick();
 
+    /** Account @p cycles idle cycles from now on as that many ticks
+     *  would: the drain queue drains, and the first one's CPI bucket
+     *  and hotspot stall are charged @p cycles times (every idle
+     *  cycle of a stretch lands in the same bucket). */
+    void skipIdle(Cycle cycles);
+
     void setListener(RetireListener *listener) { listener_ = listener; }
     RetireListener *listener() const { return listener_; }
 
@@ -49,8 +55,10 @@ class CommitStage
 
   private:
     /** Classify this tick into exactly one CPI bucket (and charge
-     *  the hotspot profiler). Called once per tick when attached. */
-    void account(unsigned committed, bool retire_port_stall);
+     *  the hotspot profiler), @p cycles times. Called once per tick,
+     *  and once per idle skip, when attached. */
+    void account(unsigned committed, bool retire_port_stall,
+                 std::uint64_t cycles = 1);
 
     const CoreParams &params_;
     RenoRenamer &renamer_;

@@ -16,6 +16,7 @@ FetchStage::tick()
     while (fetched < params_.fetchWidth &&
            s_.fetchBuf.size() < params_.fetchBufEntries &&
            !emu_.done()) {
+        s_.active = true;  // an I-cache probe or a fetch
         const Addr pc = emu_.state().pc;
         const Addr block = pc / params_.mem.icache.blockBytes;
         if (block != s_.lastFetchBlock) {

@@ -89,6 +89,7 @@ IssueStage::tick()
         }
 
         // Issue.
+        s_.active = true;
         d.issued = true;
         d.issueCycle = s_.now;
         d.issueDom = s_.now > d.readyAt ? IssueDom::Contention

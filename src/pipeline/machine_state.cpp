@@ -171,6 +171,7 @@ MachineState::squashFrom(std::size_t idx, Cycle restart_cycle,
                     rob.begin() + static_cast<long>(idx), rob.end());
     rob.erase(rob.begin() + static_cast<long>(idx), rob.end());
     fetchWait = FetchWait::Squash;
+    active = true;
 }
 
 } // namespace reno

@@ -115,6 +115,13 @@ struct MachineState {
     InstSeq pendingRedirectSeq = 0;  //!< branch behind the next fetch
     bool finished = false;
 
+    /** Set by a stage whenever it does work in the current tick --
+     *  retires, issues, renames, fetches or probes the I-cache, or
+     *  squashes; Core::tick clears it first. A tick that leaves it
+     *  clear was idle: it changed nothing but the drain queue and the
+     *  per-cycle stall accounting (see Core::idleUntil). */
+    bool active = false;
+
     // --- CPI-stack attribution hints ----------------------------------
     /** Why fetch last stopped (classifies empty-ROB cycles). */
     FetchWait fetchWait = FetchWait::None;

@@ -1,5 +1,7 @@
 #include "pipeline/rename_stage.hpp"
 
+#include "common/log.hpp"
+
 namespace reno
 {
 
@@ -15,35 +17,22 @@ RenameStage::tick()
         const Instruction &inst = d.inst();
         const bool sys = inst.op == Opcode::SYSCALL;
 
-        if (s_.rob.size() >= params_.robEntries) {
-            ++stats_.stallRob;
-            s_.renameStall = RenameStall::Rob;
-            s_.renameStallCycle = s_.now;
-            break;
-        }
-        if (sys && !s_.rob.empty())
+        RenameStall stall = RenameStall::None;
+        if (s_.rob.size() >= params_.robEntries)
+            stall = RenameStall::Rob;
+        else if (sys && !s_.rob.empty())
             break;  // serialize
-        if (!sys && s_.iqCount >= params_.iqEntries) {
-            ++stats_.stallIq;
-            s_.renameStall = RenameStall::Iq;
-            s_.renameStallCycle = s_.now;
-            break;
-        }
-        if (d.isLoadInst() && s_.lqCount >= params_.lqEntries) {
-            ++stats_.stallLsq;
-            s_.renameStall = RenameStall::Lsq;
-            s_.renameStallCycle = s_.now;
-            break;
-        }
-        if (d.isStoreInst() && s_.sqCount >= params_.sqEntries) {
-            ++stats_.stallLsq;
-            s_.renameStall = RenameStall::Lsq;
-            s_.renameStallCycle = s_.now;
-            break;
-        }
-        if (inst.hasDest() && !renamer_.ensureFreePreg()) {
-            ++stats_.stallPregs;
-            s_.renameStall = RenameStall::Pregs;
+        else if (!sys && s_.iqCount >= params_.iqEntries)
+            stall = RenameStall::Iq;
+        else if (d.isLoadInst() && s_.lqCount >= params_.lqEntries)
+            stall = RenameStall::Lsq;
+        else if (d.isStoreInst() && s_.sqCount >= params_.sqEntries)
+            stall = RenameStall::Lsq;
+        else if (inst.hasDest() && !renamer_.ensureFreePreg())
+            stall = RenameStall::Pregs;
+        if (stall != RenameStall::None) {
+            ++stallCounter(stall);
+            s_.renameStall = stall;
             s_.renameStallCycle = s_.now;
             break;
         }
@@ -90,6 +79,33 @@ RenameStage::tick()
         if (sys)
             break;
     }
+    if (n > 0)
+        s_.active = true;
+}
+
+std::uint64_t &
+RenameStage::stallCounter(RenameStall stall)
+{
+    switch (stall) {
+      case RenameStall::Rob: return stats_.stallRob;
+      case RenameStall::Iq: return stats_.stallIq;
+      case RenameStall::Lsq: return stats_.stallLsq;
+      case RenameStall::Pregs: return stats_.stallPregs;
+      case RenameStall::None: break;
+    }
+    panic("rename: no stall counter for RenameStall::None");
+}
+
+void
+RenameStage::skipIdle(Cycle cycles)
+{
+    // An idle tick that stalled rename stalls it again, on the same
+    // resource, every cycle until the next event.
+    if (s_.renameStallCycle == InvalidCycle ||
+        s_.renameStallCycle + 1 != s_.now)
+        return;
+    stallCounter(s_.renameStall) += cycles;
+    s_.renameStallCycle += cycles;
 }
 
 } // namespace reno

@@ -31,7 +31,15 @@ class RenameStage
 
     void tick();
 
+    /** Account @p cycles idle cycles from now on as that many ticks
+     *  would: a stall the last (idle) tick charged is charged again
+     *  per cycle, and renameStallCycle moves to the last of them. */
+    void skipIdle(Cycle cycles);
+
   private:
+    /** The PipelineStats counter a stall on @p stall charges. */
+    std::uint64_t &stallCounter(RenameStall stall);
+
     const CoreParams &params_;
     RenoRenamer &renamer_;
     StoreSets &ssets_;

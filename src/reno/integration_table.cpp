@@ -12,7 +12,7 @@ IntegrationTable::IntegrationTable(const ItParams &params)
         fatal("integration table: entries must be a multiple of assoc");
     numSets_ = params_.entries / params_.assoc;
     slots_.resize(params_.entries);
-    pregSlots_.resize(65536);
+    lru_.resize(params_.entries);
 }
 
 unsigned
@@ -44,6 +44,8 @@ IntegrationTable::lookup(Opcode op, std::int32_t imm, const MapEntry &in1,
         if (e.valid && e.op == op && e.imm == imm && e.in1 == in1 &&
             e.in2 == in2) {
             e.lruStamp = ++lruClock_;
+            lruUnlink(slot);
+            lruAppend(slot);
             ++hits_;
             return slot;
         }
@@ -66,8 +68,11 @@ IntegrationTable::trackPregs(ItSlot slot, const ItEntry &tuple)
     // Only inputs: the output register cannot be freed while the
     // entry holds a reference to it.
     auto track = [&](PhysReg p) {
-        if (p != InvalidPhysReg && p < pregSlots_.size())
-            pregSlots_[p].push_back(slot);
+        if (p == InvalidPhysReg)
+            return;
+        if (p >= pregSlots_.size())
+            pregSlots_.resize(p + std::size_t{1});
+        pregSlots_[p].push_back(slot);
     };
     track(tuple.in1.preg);
     track(tuple.in2.preg);
@@ -80,6 +85,7 @@ IntegrationTable::release(ItSlot slot)
     if (!e.valid)
         return;
     e.valid = false;
+    lruUnlink(slot);
     ++invalidations_;
     if (prf_ && e.out.preg != InvalidPhysReg) {
         prf_->decRef(e.out.preg);
@@ -129,8 +135,26 @@ IntegrationTable::insert(const ItEntry &tuple)
     slots_[victim] = tuple;
     slots_[victim].valid = true;
     slots_[victim].lruStamp = ++lruClock_;
+    lruAppend(victim);
     trackPregs(victim, slots_[victim]);
     return victim;
+}
+
+void
+IntegrationTable::lruUnlink(ItSlot slot)
+{
+    LruLink &l = lru_[slot];
+    (l.prev != InvalidItSlot ? lru_[l.prev].next : lruHead_) = l.next;
+    (l.next != InvalidItSlot ? lru_[l.next].prev : lruTail_) = l.prev;
+    l = LruLink{};
+}
+
+void
+IntegrationTable::lruAppend(ItSlot slot)
+{
+    lru_[slot] = LruLink{lruTail_, InvalidItSlot};
+    (lruTail_ != InvalidItSlot ? lru_[lruTail_].next : lruHead_) = slot;
+    lruTail_ = slot;
 }
 
 void
@@ -170,22 +194,23 @@ IntegrationTable::reclaimLru()
     // a reverse entry), so compare against the per-register pin count,
     // not against 1 -- and release every pinning entry so the register
     // actually returns to the free pool. The victim is the oldest
-    // reclaimable entry (lruStamp; ties to the lowest slot).
+    // reclaimable entry: the first one on the recency list.
     ItSlot victim = InvalidItSlot;
-    for (ItSlot slot = 0; slot < slots_.size(); ++slot) {
-        const ItEntry &e = slots_[slot];
-        if (!e.valid || e.out.preg == InvalidPhysReg)
-            continue;
-        if (victim != InvalidItSlot &&
-            e.lruStamp >= slots_[victim].lruStamp)
-            continue;
-        if (prf_->refCount(e.out.preg) != pins_[e.out.preg])
-            continue;  // still architecturally mapped or in flight
-        victim = slot;
+    for (ItSlot slot = lruHead_; slot != InvalidItSlot;
+         slot = lru_[slot].next) {
+        const PhysReg out = slots_[slot].out.preg;
+        if (out != InvalidPhysReg && prf_->refCount(out) == pins_[out]) {
+            victim = slot;
+            break;
+        }
     }
     if (victim == InvalidItSlot)
         return false;
     const PhysReg target = slots_[victim].out.preg;
+    if (pins_[target] == 1) {
+        release(victim);  // the only pinning entry
+        return true;
+    }
     for (ItSlot slot = 0; slot < slots_.size() && pins_[target] > 0;
          ++slot) {
         const ItEntry &e = slots_[slot];

@@ -84,6 +84,7 @@ class IntegrationTable
     {
         prf_ = prf;
         pins_.assign(prf ? prf->numPregs() : 0, 0);
+        pregSlots_.resize(pins_.size());
     }
 
     /**
@@ -95,6 +96,9 @@ class IntegrationTable
 
     /** Entry at @p slot (must be valid). */
     const ItEntry &entry(ItSlot slot) const;
+
+    /** Slot @p slot as stored, valid or not (state inspection). */
+    const ItEntry &rawEntry(ItSlot slot) const { return slots_.at(slot); }
 
     /**
      * Insert a tuple, evicting LRU within the set. Counts one table
@@ -111,8 +115,11 @@ class IntegrationTable
 
     /**
      * Free-pool pressure relief: invalidate the least-recently-used
-     * entry whose output register is held only by this table, freeing
-     * that register. Returns true if a register was freed.
+     * entry whose output register is held only by this table (and
+     * every other entry pinning that register, in slot order),
+     * freeing the register. Walks the valid entries oldest-first and
+     * stops at the first reclaimable one. Returns true if a register
+     * was freed.
      */
     bool reclaimLru();
 
@@ -134,13 +141,28 @@ class IntegrationTable
     /** Mark @p slot invalid and release its output reference. */
     void release(ItSlot slot);
 
+    /** Recency list of the valid slots, oldest first (every lookup
+     *  hit and insert restamps a slot and moves it to the back, so
+     *  the list is in lruStamp order). */
+    struct LruLink {
+        ItSlot prev = InvalidItSlot;
+        ItSlot next = InvalidItSlot;
+    };
+    void lruUnlink(ItSlot slot);
+    void lruAppend(ItSlot slot);
+
     ItParams params_;
     PhysRegFile *prf_ = nullptr;
     unsigned numSets_;
     std::vector<ItEntry> slots_;
     std::uint64_t lruClock_ = 0;
+    std::vector<LruLink> lru_;
+    ItSlot lruHead_ = InvalidItSlot;
+    ItSlot lruTail_ = InvalidItSlot;
 
-    /** preg -> slots that may reference it (lazily cleaned). */
+    /** preg -> slots that may reference it (lazily cleaned). Sized
+     *  from the attached register file; an unattached table grows it
+     *  on demand. */
     std::vector<std::vector<ItSlot>> pregSlots_;
 
     /** preg -> references this table holds on it (valid entries

@@ -4,7 +4,7 @@
 
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "uarch/run_loop.hpp"
 
 namespace reno
 {
@@ -116,48 +116,56 @@ System::run()
 SimResult
 System::runUntilRetired(std::uint64_t retired_bound)
 {
-    // Same liveness watchdog as Core::runUntilRetired, on aggregate
+    // Same watchdog as Core::runUntilRetired, on aggregate
     // retirement: bus penalties only delay accesses, they cannot
     // deadlock, so a system-wide retirement gap is still a bug.
-    constexpr Cycle RetireGapBound = 100'000;
-    std::uint64_t last_retired = totalRetired();
-    Cycle last_progress = now_;
-
-    const std::uint64_t sample_interval =
-        obs::Tracer::instance().enabled()
-            ? obs::Tracer::instance().cycleSampleInterval()
-            : 0;
-    Cycle next_sample =
-        sample_interval
-            ? (now_ / sample_interval + 1) * sample_interval
-            : 0;
+    RunLoop loop(now_, totalRetired(), params_.maxCycles);
+    const std::uint64_t skipped_before = skipped_;
 
     while (!finished() && totalRetired() < retired_bound &&
            now_ < params_.maxCycles) {
         tick();
-        if (sample_interval && now_ >= next_sample) {
+        // Skip only when every live core idled, all by the same count.
+        Cycle until = loop.skipLimit();
+        bool live = false;
+        for (const auto &core : cores_) {
+            if (!core->finished()) {
+                live = true;
+                until = std::min(until, core->idleUntil());
+            }
+        }
+        if (live && until > now_) {
+            for (auto &core : cores_) {
+                if (!core->finished())
+                    core->skipIdle(until - now_);
+            }
+            skipped_ += until - now_;
+            now_ = until;
+        }
+        if (loop.sampleDue(now_)) {
             // One sample per core per interval, each on its own
             // "core<i>.stats" lane.
             for (auto &core : cores_)
                 core->sampleStatsCounter();
-            next_sample += sample_interval;
         }
         const std::uint64_t retired = totalRetired();
-        if (retired != last_retired) {
-            last_retired = retired;
-            last_progress = now_;
-        } else if (now_ - last_progress > RetireGapBound) {
+        if (loop.stalled(now_, retired)) {
             panic("no core retired an instruction for %llu cycles "
                   "(cycle %llu, %llu retired total): pipeline or "
                   "coherence deadlock",
-                  static_cast<unsigned long long>(RetireGapBound),
+                  static_cast<unsigned long long>(RunLoop::RetireGapBound),
                   static_cast<unsigned long long>(now_),
-                  static_cast<unsigned long long>(last_retired));
+                  static_cast<unsigned long long>(retired));
         }
     }
     if (!finished() && now_ >= params_.maxCycles)
         warn("multi-core simulation hit the cycle limit before every "
              "core exited");
+    // Host-side only: a System runs through here for every detailed
+    // run and sampled window, so the counter sees them all.
+    obs::MetricsRegistry::instance()
+        .counter("sys.cycles_skipped")
+        .inc(skipped_ - skipped_before);
     return result();
 }
 

@@ -13,11 +13,15 @@
  * (src/emu/decoded.hpp) -- each core's oracle steps ride its own
  * block cache, and the streams stay bit-exact in either mode.
  *
- * Stepping is deterministic: every system cycle ticks the unfinished
- * cores in core order, so all bus/shared-level state mutations within
- * a cycle are ordered by core index and the run is bit-reproducible.
- * A finished core freezes (its coreCycles slot records its own
- * completion time); the system runs until every core has exited.
+ * Stepping is deterministic: every ticked system cycle ticks the
+ * unfinished cores in core order, so all bus/shared-level state
+ * mutations within a cycle are ordered by core index and the run is
+ * bit-reproducible. When every unfinished core idled its last tick,
+ * the run loop skips all of them, by the same count, to the earliest
+ * cycle any can act (Core::idleUntil); a skipped cycle touches no
+ * shared state, so skipping changes no result. A finished core
+ * freezes (its coreCycles slot records its own completion time); the
+ * system runs until every core has exited.
  *
  * Every detailed run goes through a System, one core included. A
  * 1-core System is cycle-identical to a bare Core that owns its whole
@@ -62,8 +66,13 @@ class System
      */
     SimResult runUntilRetired(std::uint64_t retired_bound);
 
-    /** Advance one system cycle: tick unfinished cores in order. */
+    /** Advance exactly one system cycle: tick unfinished cores in
+     *  order (the no-skip reference for tests). */
     void tick();
+
+    /** System cycles the run loop skipped so far (host-side, reported
+     *  as the sys.cycles_skipped metric; not a SimResult field). */
+    std::uint64_t cyclesSkipped() const { return skipped_; }
 
     bool finished() const;
     Cycle now() const { return now_; }
@@ -107,6 +116,7 @@ class System
     CoherenceBus bus_;
     std::vector<std::unique_ptr<Core>> cores_;
     Cycle now_ = 0;
+    std::uint64_t skipped_ = 0;
 };
 
 } // namespace reno

@@ -4,6 +4,7 @@
 
 #include "common/log.hpp"
 #include "obs/trace.hpp"
+#include "uarch/run_loop.hpp"
 
 namespace reno
 {
@@ -44,6 +45,7 @@ Core::Core(const CoreParams &params, Emulator &emu,
 void
 Core::tick()
 {
+    state_.active = false;
     commit_.tick();
     if (!state_.finished) {
         issue_.tick();
@@ -51,6 +53,54 @@ Core::tick()
         fetch_.tick();
     }
     ++state_.now;
+}
+
+Cycle
+Core::nextEvent() const
+{
+    // Only pending times at or after now are events. An older one
+    // belongs to work the idle tick could not do -- a load blocked by
+    // its store set, a rename stalled on a full structure -- and that
+    // work resumes only after some other event.
+    const Cycle now = state_.now;
+    Cycle next = InvalidCycle;
+    auto due = [&](Cycle at) {
+        if (at >= now && at < next)
+            next = at;
+        return next == now;
+    };
+    if (!state_.rob.empty()) {
+        const Cycle done = state_.rob.front()->completeCycle;
+        // A complete head the idle tick did not retire waits on the
+        // retire port: tick on rather than model the drain.
+        if (done < now || due(done))
+            return now;
+    }
+    if (!state_.fetchBuf.empty() &&
+        due(state_.fetchBuf.front()->fetchReady))
+        return now;
+    if (state_.fetchBlocked == 0 &&
+        state_.fetchBuf.size() < params_.fetchBufEntries && !emu_.done() &&
+        due(state_.fetchResumeAt))
+        return now;
+    for (const MachineState::CandidateList &list : state_.candidates) {
+        for (const DynInst *d = list.head; d; d = d->issueNext) {
+            if (due(d->readyAt))
+                return now;
+        }
+    }
+    return next;
+}
+
+void
+Core::skipIdle(Cycle cycles)
+{
+    // Commit accounts first, as in a tick: its CPI bucket reads the
+    // rename stall the idle tick recorded.
+    commit_.skipIdle(cycles);
+    rename_.skipIdle(cycles);
+    state_.now += cycles;
+    skipped_ += cycles;
 }
 
 SimResult
@@ -62,41 +112,20 @@ Core::run()
 SimResult
 Core::runUntilRetired(std::uint64_t retired_bound)
 {
-    // Liveness watchdog: the longest legitimate retirement gap is a
-    // memory-latency chain, orders of magnitude under this bound. A
-    // rename/retire deadlock (e.g. an unreclaimable register pool)
-    // should fail loudly, not spin to maxCycles.
-    constexpr Cycle RetireGapBound = 100'000;
-    std::uint64_t last_retired = stats_.retired;
-    Cycle last_progress = state_.now;
-
-    // Periodic counter sampling for traces (--trace-sample). The
-    // interval is read once per call: purely observational, never
-    // part of CoreParams, so job digests and results are unaffected.
-    const std::uint64_t sample_interval =
-        obs::Tracer::instance().enabled()
-            ? obs::Tracer::instance().cycleSampleInterval()
-            : 0;
-    Cycle next_sample =
-        sample_interval
-            ? (state_.now / sample_interval + 1) * sample_interval
-            : 0;
-
+    RunLoop loop(state_.now, stats_.retired, params_.maxCycles);
     while (!state_.finished && stats_.retired < retired_bound &&
            state_.now < params_.maxCycles) {
         tick();
-        if (sample_interval && state_.now >= next_sample) {
+        const Cycle until = std::min(idleUntil(), loop.skipLimit());
+        if (until > state_.now)
+            skipIdle(until - state_.now);
+        if (loop.sampleDue(state_.now))
             sampleStatsCounter();
-            next_sample += sample_interval;
-        }
-        if (stats_.retired != last_retired) {
-            last_retired = stats_.retired;
-            last_progress = state_.now;
-        } else if (state_.now - last_progress > RetireGapBound) {
+        if (loop.stalled(state_.now, stats_.retired)) {
             panic("no instruction retired for %llu cycles "
                   "(cycle %llu, %llu retired, rob %zu, free pregs %u): "
                   "pipeline deadlock",
-                  static_cast<unsigned long long>(RetireGapBound),
+                  static_cast<unsigned long long>(RunLoop::RetireGapBound),
                   static_cast<unsigned long long>(state_.now),
                   static_cast<unsigned long long>(stats_.retired),
                   state_.rob.size(), renamer_.physRegs().numFree());

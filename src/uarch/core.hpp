@@ -21,8 +21,19 @@
  * src/pipeline/{fetch,rename,issue,commit}_stage.*, and the
  * pipeline's counters in PipelineStats (pipeline/pipeline_stats.hpp),
  * published through result() under the SimResult field registry's
- * names. Core wires them together and drives one stage pass per
- * tick().
+ * names. Core wires them together; tick() drives one stage pass and
+ * advances exactly one cycle.
+ *
+ * The run loops (here and in sys/system.hpp) skip idle cycles. A tick
+ * in which no stage did any work (MachineState::active stays clear)
+ * leaves the machine frozen until the earliest of: the ROB head's
+ * completion, an issue candidate's ready cycle, the fetch-buffer
+ * head's arrival at rename, or the end of a fetch stall. Every cycle
+ * before that would tick identically, so idleUntil() names that
+ * cycle and skipIdle() accounts the cycles in between exactly as
+ * ticks would (drain queue, rename stall counters, CPI bucket and
+ * hotspot stall): results, CPI stacks and trace samples match a
+ * tick-by-tick run.
  */
 #pragma once
 
@@ -80,8 +91,28 @@ class Core
      */
     SimResult runUntilRetired(std::uint64_t retired_bound);
 
-    /** Advance one cycle (exposed for tests). */
+    /** Advance exactly one cycle (the no-skip reference for tests). */
     void tick();
+
+    /**
+     * The first cycle at which a stage can act again: now() unless
+     * the last tick was idle, else the machine's next event (see the
+     * file comment); InvalidCycle when nothing is pending at all (a
+     * deadlock, which the run loop's watchdog reports).
+     */
+    Cycle
+    idleUntil() const
+    {
+        return state_.active ? state_.now : nextEvent();
+    }
+
+    /** Advance @p cycles idle cycles, accounting each exactly as a
+     *  tick would. Requires now() + cycles <= idleUntil(). */
+    void skipIdle(Cycle cycles);
+
+    /** Cycles skipped by skipIdle() so far (host-side counter, not a
+     *  SimResult field). */
+    std::uint64_t cyclesSkipped() const { return skipped_; }
 
     bool finished() const { return state_.finished; }
     Cycle now() const { return state_.now; }
@@ -117,6 +148,9 @@ class Core
     void sampleStatsCounter();
 
   private:
+    /** idleUntil() after an idle tick. */
+    Cycle nextEvent() const;
+
     CoreParams params_;
     Emulator &emu_;
     RenoRenamer renamer_;
@@ -128,6 +162,7 @@ class Core
     PipelineStats stats_;
     /** Trace counter lane of sampleStatsCounter(). */
     std::string statsLane_;
+    std::uint64_t skipped_ = 0;
 
     /** CPI accounting, allocated only when CpiAccounting says so at
      *  construction -- a disabled run never touches these. */

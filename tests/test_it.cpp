@@ -3,10 +3,12 @@
  * Integration table tests: tuple matching on every key field,
  * signature replacement, LRU eviction, reverse entries, input-preg
  * invalidation, output-register reference holding, and LRU reclaim
- * under register pressure.
+ * under register pressure, checked against a full-scan reference on a
+ * seeded operation sequence.
  */
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "reno/integration_table.hpp"
 #include "reno/physregs.hpp"
 
@@ -340,4 +342,169 @@ TEST(It, RejectsBadGeometry)
 {
     EXPECT_EXIT((IntegrationTable{ItParams{3, 2}}),
                 ::testing::ExitedWithCode(1), "multiple");
+}
+
+namespace
+{
+
+/** Valid entries naming @p preg as output (the table's pin count). */
+unsigned
+countPins(const IntegrationTable &it, unsigned entries, PhysReg preg)
+{
+    unsigned n = 0;
+    for (ItSlot slot = 0; slot < entries; ++slot) {
+        const ItEntry &e = it.rawEntry(slot);
+        n += e.valid && e.out.preg == preg;
+    }
+    return n;
+}
+
+/**
+ * The reclaim the table used to implement, kept as the reference: scan
+ * every slot for the reclaimable entry with the smallest lruStamp, then
+ * release that register's pinning entries in slot order. Returns the
+ * victim slot (InvalidItSlot when nothing is reclaimable).
+ */
+ItSlot
+bruteReclaim(IntegrationTable &it, const PhysRegFile &prf,
+             unsigned entries)
+{
+    ItSlot victim = InvalidItSlot;
+    for (ItSlot slot = 0; slot < entries; ++slot) {
+        const ItEntry &e = it.rawEntry(slot);
+        if (!e.valid || e.out.preg == InvalidPhysReg)
+            continue;
+        if (victim != InvalidItSlot &&
+            e.lruStamp >= it.rawEntry(victim).lruStamp)
+            continue;
+        if (prf.refCount(e.out.preg) != countPins(it, entries, e.out.preg))
+            continue;
+        victim = slot;
+    }
+    if (victim == InvalidItSlot)
+        return victim;
+    const PhysReg target = it.rawEntry(victim).out.preg;
+    for (ItSlot slot = 0;
+         slot < entries && countPins(it, entries, target) > 0; ++slot) {
+        const ItEntry &e = it.rawEntry(slot);
+        if (e.valid && e.out.preg == target)
+            it.invalidateSlot(slot);
+    }
+    return victim;
+}
+
+/** One table over its own register file, wired as the renamer wires
+ *  them (a freed register invalidates the entries reading it). */
+struct TableRig {
+    PhysRegFile prf;
+    IntegrationTable it;
+
+    TableRig(unsigned pregs, const ItParams &params)
+        : prf(pregs), it(params)
+    {
+        it.attachRegFile(&prf);
+        prf.setOnFree([this](PhysReg p) { it.invalidatePreg(p); });
+    }
+};
+
+void
+expectSameState(const TableRig &a, const TableRig &b, unsigned entries,
+                unsigned pregs, int step)
+{
+    for (ItSlot slot = 0; slot < entries; ++slot) {
+        const ItEntry &x = a.it.rawEntry(slot);
+        const ItEntry &y = b.it.rawEntry(slot);
+        ASSERT_EQ(x.valid, y.valid) << "step " << step << " slot " << slot;
+        if (!x.valid)
+            continue;
+        ASSERT_TRUE(x.op == y.op && x.imm == y.imm && x.in1 == y.in1 &&
+                    x.in2 == y.in2 && x.out == y.out &&
+                    x.reverse == y.reverse && x.lruStamp == y.lruStamp)
+            << "step " << step << " slot " << slot;
+    }
+    for (PhysReg p = 0; p < pregs; ++p)
+        ASSERT_EQ(a.prf.refCount(p), b.prf.refCount(p))
+            << "step " << step << " p" << p;
+    ASSERT_EQ(a.it.accesses(), b.it.accesses());
+    ASSERT_EQ(a.it.hits(), b.it.hits());
+    ASSERT_EQ(a.it.invalidations(), b.it.invalidations());
+}
+
+} // namespace
+
+TEST(It, ReclaimMatchesTheFullScanOnASeededSequence)
+{
+    // A small register file under a large table keeps the pool near
+    // empty, so reclaims are frequent and often find several
+    // candidates, some pinned twice, some still mapped.
+    constexpr unsigned Pregs = 40;
+    const ItParams params{64, 2};
+    TableRig lru(Pregs, params);
+    TableRig ref(Pregs, params);
+    std::vector<PhysReg> held;  // outside references (one per element)
+    Rng rng(0x5eed);
+    unsigned reclaims = 0;
+
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t op = rng.below(100);
+        if (op < 35) {
+            // Allocate, reclaiming first when the pool is dry.
+            if (!lru.prf.hasFree()) {
+                const ItSlot want = bruteReclaim(ref.it, ref.prf,
+                                                 params.entries);
+                ASSERT_EQ(lru.it.reclaimLru(), want != InvalidItSlot)
+                    << "step " << step;
+                if (want != InvalidItSlot) {
+                    ASSERT_FALSE(lru.it.rawEntry(want).valid)
+                        << "step " << step << ": victim " << want;
+                    ++reclaims;
+                }
+            }
+            if (lru.prf.hasFree()) {
+                const PhysReg p = lru.prf.alloc();
+                ASSERT_EQ(ref.prf.alloc(), p);
+                held.push_back(p);
+            }
+        } else if (op < 55 && !held.empty()) {
+            // Drop an outside reference.
+            const std::size_t i = rng.below(held.size());
+            lru.prf.decRef(held[i]);
+            ref.prf.decRef(held[i]);
+            held[i] = held.back();
+            held.pop_back();
+        } else if (op < 85 && !held.empty()) {
+            // Insert a tuple over any registers, pinning a live one.
+            ItEntry e;
+            e.op = rng.below(2) ? Opcode::LDQ : Opcode::ADD;
+            e.imm = static_cast<std::int32_t>(rng.below(4));
+            e.in1 = MapEntry{static_cast<PhysReg>(rng.below(Pregs)), 0};
+            if (e.op == Opcode::ADD)
+                e.in2 =
+                    MapEntry{static_cast<PhysReg>(rng.below(Pregs)), 0};
+            e.out = MapEntry{held[rng.below(held.size())], 0};
+            e.reverse = rng.below(4) == 0;
+            ASSERT_EQ(lru.it.insert(e), ref.it.insert(e))
+                << "step " << step;
+        } else if (op < 95) {
+            // Look up a present signature (a hit moves it to the back)
+            // or a random one.
+            const ItSlot slot =
+                static_cast<ItSlot>(rng.below(params.entries));
+            const ItEntry probe = lru.it.rawEntry(slot);
+            ASSERT_EQ(lru.it.lookup(probe.op, probe.imm, probe.in1,
+                                    probe.in2),
+                      ref.it.lookup(probe.op, probe.imm, probe.in1,
+                                    probe.in2))
+                << "step " << step;
+        } else {
+            const ItSlot slot =
+                static_cast<ItSlot>(rng.below(params.entries));
+            lru.it.invalidateSlot(slot);
+            ref.it.invalidateSlot(slot);
+        }
+        expectSameState(lru, ref, params.entries, Pregs, step);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(reclaims, 500u) << "the sequence must exercise reclaim";
 }

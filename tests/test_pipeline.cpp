@@ -4,18 +4,29 @@
  * vectors against the pre-refactor monolithic core (squash/replay
  * included), stall-counter attribution per back-pressured resource,
  * the SimResult delta/accumulate algebra as used by the sampling
- * windows, instruction-arena recycling, and the issue scheduler
- * across a misintegration flush.
+ * windows, instruction-arena recycling, the issue scheduler across a
+ * misintegration flush, and idle-cycle skipping against a
+ * tick-by-tick run (results, CPI stacks, hotspots, trace samples).
  */
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "asm/assembler.hpp"
-#include "sample/interval.hpp"
 #include "emu/emulator.hpp"
+#include "harness/experiment.hpp"
+#include "obs/cpistack.hpp"
+#include "obs/profiler.hpp"
+#include "obs/trace.hpp"
+#include "sample/interval.hpp"
+#include "sample/warmup.hpp"
 #include "scheduler_check.hpp"
+#include "sys/system.hpp"
 #include "uarch/core.hpp"
+#include "uarch/run_loop.hpp"
+#include "workloads/workloads.hpp"
 
 using namespace reno;
 
@@ -85,6 +96,45 @@ loop:
         mov  a0, s3
         li   v0, 1
         syscall
+        li   v0, 0
+        li   a0, 0
+        syscall
+)";
+
+// A chain of loads that miss to memory, each feeding sixteen stores
+// of its value: with four store issue slots the stores retire in a
+// burst that fills the drain queue, and the next miss leaves the
+// machine idle while the queue still drains.
+const char *const storeBurstSrc = R"(
+        .data
+buf:    .space 131072
+        .text
+_start:
+        la   s0, buf
+        la   s2, buf
+        li   s1, 300
+loop:
+        ldq  t0, 4096(s0)
+        stq  t0, 0(s2)
+        stq  t0, 8(s2)
+        stq  t0, 16(s2)
+        stq  t0, 24(s2)
+        stq  t0, 32(s2)
+        stq  t0, 40(s2)
+        stq  t0, 48(s2)
+        stq  t0, 56(s2)
+        stq  t0, 64(s2)
+        stq  t0, 72(s2)
+        stq  t0, 80(s2)
+        stq  t0, 88(s2)
+        stq  t0, 96(s2)
+        stq  t0, 104(s2)
+        stq  t0, 112(s2)
+        stq  t0, 120(s2)
+        add  s0, s0, t0
+        addi s0, s0, 200
+        subi s1, s1, 1
+        bne  s1, loop
         li   v0, 0
         li   a0, 0
         syscall
@@ -478,4 +528,336 @@ TEST(PipelineFacade, TrivialProgramStillWorks)
     const SimResult r = runProgram(exitOnly, CoreParams{});
     EXPECT_EQ(r.retired, 3u);
     EXPECT_GT(r.cycles, 0u);
+}
+
+// ---- idle-cycle skipping ---------------------------------------------------
+
+namespace
+{
+
+/** The --trace-sample interval of the skip-vs-tick runs: prime, so
+ *  sample points land inside idle stretches as well as busy ones. */
+constexpr std::uint64_t SampleEvery = 997;
+
+/** CPI accounting, hotspots and trace sampling on for one scope. */
+struct ObservedScope {
+    ObservedScope()
+    {
+        obs::CpiAccounting::instance().setStackEnabled(true);
+        obs::CpiAccounting::instance().setHotspotTopN(16);
+        obs::Tracer::instance().clear();
+        obs::Tracer::instance().setCycleSampleInterval(SampleEvery);
+        obs::Tracer::instance().start();
+    }
+    ~ObservedScope()
+    {
+        obs::Tracer::instance().stop();
+        obs::Tracer::instance().clear();
+        obs::Tracer::instance().setCycleSampleInterval(0);
+        obs::CpiAccounting::instance().setStackEnabled(false);
+        obs::CpiAccounting::instance().setHotspotTopN(0);
+    }
+};
+
+/** Everything a run can be observed through. */
+struct Observed {
+    SimResult sim;
+    std::vector<obs::CpiStack> stacks;  //!< per core
+    /** Per core: every hotspot row, by stall then by retirement. */
+    std::vector<std::vector<obs::HotspotProfile::Entry>> hot;
+    std::vector<std::uint64_t> hotDropped;
+    /** Trace counter samples in emission order: "lane {args}". */
+    std::vector<std::string> samples;
+};
+
+/** Snapshot @p cores after a run and drain the trace buffer. */
+Observed
+observe(const SimResult &sim, const std::vector<const Core *> &cores)
+{
+    Observed o;
+    o.sim = sim;
+    for (const Core *c : cores) {
+        o.stacks.push_back(*c->cpiStack());
+        std::vector<obs::HotspotProfile::Entry> rows =
+            c->hotspots()->topByStall(1'000'000);
+        for (const auto &e : c->hotspots()->topByRetired(1'000'000))
+            rows.push_back(e);
+        o.hot.push_back(rows);
+        o.hotDropped.push_back(c->hotspots()->dropped());
+    }
+    for (const obs::TraceEvent &e : obs::Tracer::instance().events()) {
+        if (e.ph == obs::TraceEvent::Phase::Counter)
+            o.samples.push_back(e.name + " {" + e.args + "}");
+    }
+    obs::Tracer::instance().clear();
+    return o;
+}
+
+void
+expectSameObservations(const Observed &skip, const Observed &tick,
+                       const std::string &what)
+{
+    for (const SimStatField &f : simResultFields())
+        EXPECT_EQ(statValue(skip.sim, f), statValue(tick.sim, f))
+            << what << ": " << f.name;
+    ASSERT_EQ(skip.stacks.size(), tick.stacks.size()) << what;
+    for (std::size_t c = 0; c < skip.stacks.size(); ++c) {
+        EXPECT_EQ(skip.stacks[c].cycles, tick.stacks[c].cycles)
+            << what << ": core " << c << " CPI stack";
+        ASSERT_EQ(skip.hot[c].size(), tick.hot[c].size()) << what;
+        for (std::size_t i = 0; i < skip.hot[c].size(); ++i) {
+            const auto &a = skip.hot[c][i];
+            const auto &b = tick.hot[c][i];
+            EXPECT_TRUE(a.pc == b.pc && a.retired == b.retired &&
+                        a.stallCycles == b.stallCycles)
+                << what << ": core " << c << " hotspot row " << i;
+        }
+        EXPECT_EQ(skip.hotDropped[c], tick.hotDropped[c]) << what;
+    }
+    EXPECT_FALSE(tick.samples.empty()) << what;
+    EXPECT_EQ(skip.samples, tick.samples) << what;
+}
+
+/**
+ * The tick-by-tick reference of runUntilRetired: one tick() per
+ * cycle, counter samples on the same schedule, no skipping.
+ */
+template <class Machine, class Retired, class Sample>
+void
+tickUntilRetired(Machine &m, std::uint64_t bound, Cycle max_cycles,
+                 Retired retired, Sample sample)
+{
+    Cycle next = (m.now() / SampleEvery + 1) * SampleEvery;
+    while (!m.finished() && retired() < bound && m.now() < max_cycles) {
+        m.tick();
+        if (m.now() >= next) {
+            sample();
+            next += SampleEvery;
+        }
+    }
+}
+
+void
+tickSystem(System &sys, std::uint64_t bound, Cycle max_cycles)
+{
+    tickUntilRetired(
+        sys, bound, max_cycles,
+        [&] {
+            std::uint64_t sum = 0;
+            for (unsigned i = 0; i < sys.numCores(); ++i)
+                sum += sys.core(i).retiredCount();
+            return sum;
+        },
+        [&] {
+            for (unsigned i = 0; i < sys.numCores(); ++i)
+                sys.core(i).sampleStatsCounter();
+        });
+}
+
+std::vector<const Core *>
+coresOf(const System &sys)
+{
+    std::vector<const Core *> cores;
+    for (unsigned i = 0; i < sys.numCores(); ++i)
+        cores.push_back(&sys.core(i));
+    return cores;
+}
+
+/** Run @p prog on a bare Core, skipping and ticking; returns the
+ *  cycles the skipping run skipped. */
+std::uint64_t
+expectCoreSkipMatchesTicks(const Program &prog, const CoreParams &params,
+                           std::uint64_t rand_seed,
+                           const std::string &what)
+{
+    const ObservedScope scope;
+    Emulator::Options opts;
+    opts.randSeed = rand_seed;
+
+    Emulator emu_skip(prog, opts);
+    Core skip(params, emu_skip);
+    const Observed a = observe(skip.run(), {&skip});
+
+    Emulator emu_tick(prog, opts);
+    Core tick(params, emu_tick);
+    tickUntilRetired(
+        tick, ~std::uint64_t{0}, params.maxCycles,
+        [&] { return tick.retiredCount(); },
+        [&] { tick.sampleStatsCounter(); });
+    EXPECT_EQ(tick.cyclesSkipped(), 0u);
+    expectSameObservations(a, observe(tick.result(), {&tick}),
+                           what + " (core)");
+    return skip.cyclesSkipped();
+}
+
+/** Run @p w on a params.sys.numCores System, skipping and ticking;
+ *  returns the cycles the skipping run skipped. */
+std::uint64_t
+expectSystemSkipMatchesTicks(const Workload &w, const CoreParams &params,
+                             const std::string &what)
+{
+    const ObservedScope scope;
+    const unsigned n = params.sys.numCores;
+
+    EmulatorSet emus_skip = makeEmulators(w, n);
+    System skip(params, emus_skip.cores);
+    const Observed a = observe(skip.run(), coresOf(skip));
+
+    EmulatorSet emus_tick = makeEmulators(w, n);
+    System tick(params, emus_tick.cores);
+    tickSystem(tick, ~std::uint64_t{0}, params.maxCycles);
+    expectSameObservations(a, observe(tick.result(), coresOf(tick)),
+                           what + " (system)");
+    return skip.cyclesSkipped();
+}
+
+/** A System at @p win's start, warmed and injected exactly as
+ *  sample::runIntervalDetailed builds one without a checkpoint. */
+std::unique_ptr<System>
+windowSystem(const Workload &w, const CoreParams &params,
+             const sample::IntervalWindow &win, EmulatorSet &emus)
+{
+    const unsigned n = params.sys.numCores;
+    emus = makeEmulators(w, n);
+    sample::WarmState warm(params.mem, params.bpred, n);
+    sample::warmStep(emus.cores, warm, win.startInst);
+    auto sys = std::make_unique<System>(params, emus.cores);
+    for (std::size_t i = 0; i < sys->numSharedLevels(); ++i) {
+        sys->sharedLevel(i).copyStateFrom(warm.sharedLevel(i));
+        sys->sharedLevel(i).settle();
+    }
+    EXPECT_TRUE(sys->bus().importState(warm.bus().exportState()));
+    for (unsigned i = 0; i < n; ++i) {
+        sys->core(i).memHierarchy().copyStateFrom(warm.coreMem(i));
+        sys->core(i).memHierarchy().settle();
+        sys->core(i).branchPredictor() = warm.coreBp(i);
+    }
+    return sys;
+}
+
+CoreParams
+namedParams(const char *name)
+{
+    NamedConfig cfg;
+    EXPECT_TRUE(configByName(name, CoreParams::fourWide(), &cfg)) << name;
+    return cfg.params;
+}
+
+} // namespace
+
+TEST(PipelineIdleSkip, MemKernelsSkipAndMatchTickByTick)
+{
+    const CoreParams params = namedParams("RENO");
+    for (const char *name : {"mem.chase.1m", "mem.stream.256k"}) {
+        const Workload &w = workloadByName(name);
+        EXPECT_GT(expectCoreSkipMatchesTicks(assembleWorkload(w), params,
+                                             w.seed, name),
+                  0u)
+            << name << ": a memory-bound kernel must skip cycles";
+        EXPECT_GT(expectSystemSkipMatchesTicks(w, params, name), 0u)
+            << name;
+    }
+}
+
+TEST(PipelineIdleSkip, SquashFlushAndDrainProgramsMatchTickByTick)
+{
+    CoreParams p;
+    p.reno = RenoConfig::full();
+    const Program violation = assemble(violationSrc);
+    const Program misinteg = assemble(misintegSrc);
+    expectCoreSkipMatchesTicks(violation, p, 0, "store-set violations");
+    expectCoreSkipMatchesTicks(misinteg, p, 0, "misintegration");
+    p.reno = RenoConfig::baseline();
+    expectCoreSkipMatchesTicks(violation, p, 0, "violations, baseline");
+
+    // Idle stretches that begin with stores still in the drain queue.
+    CoreParams drain;
+    drain.issue.stores = 4;
+    EXPECT_GT(expectCoreSkipMatchesTicks(assemble(storeBurstSrc), drain,
+                                         0, "retire-port drain"),
+              0u);
+}
+
+TEST(PipelineIdleSkip, MultiKernelsMatchTickByTickAtTwoAndFourCores)
+{
+    for (const char *config : {"RENO/2c", "RENO/4c"}) {
+        const CoreParams params = namedParams(config);
+        for (const Workload *w : suiteWorkloads("multi"))
+            expectSystemSkipMatchesTicks(
+                *w, params, w->name + " on " + config);
+    }
+}
+
+TEST(PipelineIdleSkip, SampledWindowMatchesTickByTick)
+{
+    const CoreParams params = namedParams("RENO");
+    const Workload &w = workloadByName("mem.chase.1m");
+    sample::IntervalWindow win;
+    win.startInst = 40'000;
+    win.warmupInsts = 2'000;
+    win.measureInsts = 20'000;
+    const SimResult expect =
+        sample::runIntervalDetailed(w, params, win, nullptr, nullptr);
+
+    const ObservedScope scope;
+    EmulatorSet emus_skip, emus_tick;
+    const std::unique_ptr<System> skip =
+        windowSystem(w, params, win, emus_skip);
+    const std::unique_ptr<System> tick =
+        windowSystem(w, params, win, emus_tick);
+    const std::uint64_t end = win.warmupInsts + win.measureInsts;
+
+    const SimResult pre = skip->runUntilRetired(win.warmupInsts);
+    const SimResult post = skip->runUntilRetired(end);
+    expectResultEq(sample::deltaResult(post, pre), expect,
+                   "window replica");
+    EXPECT_GT(skip->cyclesSkipped(), 0u);
+    const Observed a = observe(post, coresOf(*skip));
+
+    tickSystem(*tick, win.warmupInsts, params.maxCycles);
+    EXPECT_EQ(tick->result().retired, pre.retired);
+    tickSystem(*tick, end, params.maxCycles);
+    expectSameObservations(a, observe(tick->result(), coresOf(*tick)),
+                           "sampled window");
+}
+
+TEST(PipelineIdleSkipDeath, WatchdogFiresOnTheTickByTickCycle)
+{
+    // A memory latency beyond the watchdog's retirement-gap bound
+    // looks like a deadlock: the first fetch misses to memory and
+    // nothing retires for longer than the bound. Skipping must not
+    // move the panic: it fires on the cycle a tick-by-tick run
+    // reaches, with the same text.
+    CoreParams p;
+    p.mem.memory.accessLatency = 3 * RunLoop::RetireGapBound;
+    const Program prog = assemble(exitOnly);
+
+    Emulator emu(prog);
+    Core ref(p, emu);
+    Cycle last_progress = 0;
+    std::uint64_t retired = 0;
+    while (ref.now() - last_progress <= RunLoop::RetireGapBound) {
+        ref.tick();
+        if (ref.retiredCount() != retired) {
+            retired = ref.retiredCount();
+            last_progress = ref.now();
+        }
+    }
+    const std::string cycle =
+        "\\(cycle " + std::to_string(ref.now()) + ",";
+
+    EXPECT_DEATH(
+        {
+            Emulator e(prog);
+            Core core(p, e);
+            core.run();
+        },
+        "no instruction retired for 100000 cycles " + cycle);
+    EXPECT_DEATH(
+        {
+            Emulator e(prog);
+            System sys(p, {&e});
+            sys.run();
+        },
+        "no core retired an instruction for 100000 cycles " + cycle);
 }
