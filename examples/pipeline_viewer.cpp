@@ -125,7 +125,7 @@ main(int argc, char **argv)
     eopts.randSeed = w.seed;
     Emulator emu(prog, eopts);
     Core core(params, emu);
-    core.setRetireListener(&tracer);
+    core.observe(&tracer);
     const SimResult r = core.run();
 
     std::printf("%s on '%s' (config %s): %llu insts, %llu cycles, "

@@ -140,4 +140,15 @@ renderTable(const std::vector<ReportRecord> &records)
     return t.render();
 }
 
+bool
+writeFile(const std::string &path, const std::string &text)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    const bool ok =
+        std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    return std::fclose(f) == 0 && ok;
+}
+
 } // namespace reno

@@ -54,4 +54,8 @@ std::string renderCsv(const std::vector<ReportRecord> &records);
 /** Render records as an aligned text table (common/table.hpp). */
 std::string renderTable(const std::vector<ReportRecord> &records);
 
+/** Write @p text to the file @p path, replacing it. False when the
+ *  file cannot be opened or the write comes up short. */
+bool writeFile(const std::string &path, const std::string &text);
+
 } // namespace reno

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "uarch/dyninst.hpp"
-#include "uarch/retire_listener.hpp"
+#include "uarch/core_observer.hpp"
 
 namespace reno
 {
@@ -43,7 +43,7 @@ constexpr unsigned NumCpBuckets =
 const char *cpBucketName(CpBucket bucket);
 
 /** Collects retired-instruction records and computes the breakdown. */
-class CriticalPathAnalyzer : public RetireListener
+class CriticalPathAnalyzer : public CoreObserver
 {
   public:
     /**

@@ -12,27 +12,12 @@
 #include "emu/emulator.hpp"
 #include "obs/phase.hpp"
 #include "sys/system.hpp"
-#include "trace/pipetrace.hpp"
 
 namespace reno
 {
 
 namespace
 {
-
-/** Fan one retirement stream out to two listeners (CPA + pipetrace
- *  share the Core's single listener slot). */
-struct RetireTee : RetireListener {
-    RetireListener *a = nullptr;
-    RetireListener *b = nullptr;
-
-    void
-    onRetire(const DynInst &inst) override
-    {
-        a->onRetire(inst);
-        b->onRetire(inst);
-    }
-};
 
 /** Merge per-core hotspot tables by pc, re-rank, keep the top N. */
 std::vector<obs::HotspotProfile::Entry>
@@ -67,33 +52,6 @@ mergeHot(const std::vector<std::vector<obs::HotspotProfile::Entry>>
     if (merged.size() > n)
         merged.resize(n);
     return merged;
-}
-
-/** Harvest and aggregate the side channel across a System's cores. */
-obs::CpiReport
-harvestCpi(const System &sys)
-{
-    obs::CpiReport r;
-    std::vector<std::vector<obs::HotspotProfile::Entry>> hot_ret;
-    std::vector<std::vector<obs::HotspotProfile::Entry>> hot_stall;
-    const std::size_t n = obs::CpiAccounting::instance().hotspotTopN();
-    for (unsigned i = 0; i < sys.numCores(); ++i) {
-        const Core &core = sys.core(i);
-        if (const obs::CpiStack *stack = core.cpiStack()) {
-            r.valid = true;
-            r.machine.accumulate(*stack);
-            r.perCore.push_back(*stack);
-        }
-        if (const obs::HotspotProfile *hot = core.hotspots()) {
-            r.valid = true;
-            hot_ret.push_back(hot->topByRetired(n));
-            hot_stall.push_back(hot->topByStall(n));
-            r.hotspotDropped += hot->dropped();
-        }
-    }
-    r.hotRetired = mergeHot(hot_ret, n, false);
-    r.hotStall = mergeHot(hot_stall, n, true);
-    return r;
 }
 
 /** Fold finished cores' functional results into @p out: outputs
@@ -530,9 +488,56 @@ makeEmulators(const Workload &workload, unsigned num_cores)
     return set;
 }
 
+JobObservers::JobObservers(const obs::ObservationRequest &request,
+                           System &sys)
+    : request_(request)
+{
+    // Sized once: the cores keep pointers into these vectors.
+    const unsigned n = sys.numCores();
+    if (request_.cpiStack)
+        stacks_.resize(n);
+    if (request_.hotTopN > 0)
+        hot_.resize(n);
+    if (request_.pipetrace)
+        tracers_.resize(n);
+    for (unsigned i = 0; i < n; ++i) {
+        if (request_.cpiStack)
+            sys.core(i).observe(&stacks_[i]);
+        if (request_.hotTopN > 0)
+            sys.core(i).observe(&hot_[i]);
+        if (request_.pipetrace)
+            sys.core(i).observe(&tracers_[i]);
+    }
+}
+
+obs::Observation
+JobObservers::record() const
+{
+    obs::Observation out;
+    obs::CpiReport &r = out.cpi;
+    r.valid = request_.cpiStack || request_.hotTopN > 0;
+    for (const obs::CpiStackObserver &stack : stacks_) {
+        r.machine.accumulate(stack.stack());
+        r.perCore.push_back(stack.stack());
+    }
+    std::vector<std::vector<obs::HotspotProfile::Entry>> hot_ret;
+    std::vector<std::vector<obs::HotspotProfile::Entry>> hot_stall;
+    for (const obs::HotspotProfile &hot : hot_) {
+        hot_ret.push_back(hot.topByRetired(request_.hotTopN));
+        hot_stall.push_back(hot.topByStall(request_.hotTopN));
+        r.hotspotDropped += hot.dropped();
+    }
+    r.hotRetired = mergeHot(hot_ret, request_.hotTopN, false);
+    r.hotStall = mergeHot(hot_stall, request_.hotTopN, true);
+    for (const PipeTracer &tracer : tracers_)
+        out.pipetrace.push_back(tracer.records());
+    return out;
+}
+
 RunOutput
 runWorkload(const Workload &workload, const CoreParams &params,
-            CriticalPathAnalyzer *cpa)
+            CriticalPathAnalyzer *cpa,
+            const obs::ObservationRequest &observe)
 {
     const unsigned n = params.sys.numCores;
     if (cpa && n > 1)
@@ -540,24 +545,9 @@ runWorkload(const Workload &workload, const CoreParams &params,
               "(config runs %u cores)", n);
     EmulatorSet emus = makeEmulators(workload, n);
     System sys(params, emus.cores);
-
-    // --pipetrace: one bounded tracer per core, emitted per lane. At
-    // one core the CPA shares core 0's retire-listener slot with the
-    // tracer through a tee when both are requested.
-    std::vector<PipeTracer> ptracers;
-    if (PipeTraceSink::instance().enabled())
-        ptracers.resize(n);
-    RetireTee tee;
-    if (cpa && !ptracers.empty()) {
-        tee.a = cpa;
-        tee.b = &ptracers[0];
-        sys.core(0).setRetireListener(&tee);
-    } else if (cpa) {
-        sys.core(0).setRetireListener(cpa);
-    } else {
-        for (unsigned i = 0; i < ptracers.size(); ++i)
-            sys.core(i).setRetireListener(&ptracers[i]);
-    }
+    JobObservers observers(observe, sys);
+    if (cpa)
+        sys.core(0).observe(cpa);
 
     RunOutput out;
     {
@@ -567,13 +557,7 @@ runWorkload(const Workload &workload, const CoreParams &params,
     }
     if (cpa)
         cpa->finish();
-    for (std::size_t i = 0; i < ptracers.size(); ++i) {
-        PipeTraceSink::instance().emit(
-            n == 1 ? workload.name
-                   : strprintf("%s core%zu", workload.name.c_str(), i),
-            ptracers[i].records());
-    }
-    out.cpi = harvestCpi(sys);
+    out.observed = observers.record();
     foldFunctional(emus, out);
     return out;
 }

@@ -15,13 +15,18 @@
 #include "asm/assembler.hpp"
 #include "cpa/critpath.hpp"
 #include "emu/emulator.hpp"
-#include "obs/cpireport.hpp"
+#include "obs/cpistack.hpp"
+#include "obs/observation.hpp"
+#include "obs/profiler.hpp"
+#include "trace/pipetrace.hpp"
 #include "uarch/core.hpp"
 #include "uarch/params.hpp"
 #include "workloads/workloads.hpp"
 
 namespace reno
 {
+
+class System;
 
 /** A machine configuration with a display name. */
 struct NamedConfig {
@@ -35,10 +40,9 @@ struct RunOutput {
     std::string output;           //!< program's printed output
     std::uint64_t memDigest = 0;  //!< final memory digest
     std::uint64_t emuInsts = 0;   //!< functional instruction count
-    /** CPI-stack / hotspot side channel (valid only when
-     *  obs::CpiAccounting was enabled for the run; never cached or
+    /** What the run's observation request asked for (never cached or
      *  folded into SimResult). */
-    obs::CpiReport cpi;
+    obs::Observation observed;
 };
 
 /** The --width machine: CoreParams::fourWide() for "4",
@@ -189,15 +193,41 @@ EmulatorSet makeEmulators(const Workload &workload,
                           unsigned num_cores);
 
 /**
+ * The observers one job attaches to every core of its System, built
+ * from the job's request: a CPI stack, a hotspot profile and a
+ * pipeline tracer per core, each only when asked for. They see the
+ * System from construction on, so building them after a warmup
+ * observes only what follows it. Not copyable: the cores hold
+ * pointers into it, and it must outlive the run.
+ */
+class JobObservers
+{
+  public:
+    JobObservers(const obs::ObservationRequest &request, System &sys);
+    JobObservers(const JobObservers &) = delete;
+    JobObservers &operator=(const JobObservers &) = delete;
+
+    /** The per-job record of what the observers saw so far. */
+    obs::Observation record() const;
+
+  private:
+    obs::ObservationRequest request_;
+    std::vector<obs::CpiStackObserver> stacks_;
+    std::vector<obs::HotspotProfile> hot_;
+    std::vector<PipeTracer> tracers_;
+};
+
+/**
  * Run @p workload SPMD on a System of params.sys.numCores cores (see
  * makeEmulators). The RunOutput concatenates per-core program outputs
  * in core order and folds the per-core memory digests into one hash
- * (the raw digest at one core). @p cpa, when non-null, attaches to
- * core 0; fatal()s on a multi-core config, where critical-path
- * analysis is undefined.
+ * (the raw digest at one core), and carries what @p observe asked
+ * for. @p cpa, when non-null, observes core 0; fatal()s on a
+ * multi-core config, where critical-path analysis is undefined.
  */
 RunOutput runWorkload(const Workload &workload, const CoreParams &params,
-                      CriticalPathAnalyzer *cpa = nullptr);
+                      CriticalPathAnalyzer *cpa = nullptr,
+                      const obs::ObservationRequest &observe = {});
 
 /**
  * Functional-only SPMD run over @p num_cores emulator streams (the

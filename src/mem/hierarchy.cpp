@@ -6,35 +6,38 @@
 namespace reno
 {
 
+SharedStack
+MemHierarchy::buildShared(const Params &params)
+{
+    std::vector<CacheParams> stack;
+    stack.push_back(params.l2);
+    for (const CacheParams &extra : params.extraLevels)
+        stack.push_back(extra);
+    if (params.modelWritebacks) {
+        for (CacheParams &level : stack)
+            level.writebackTraffic = true;
+    }
+
+    SharedStack out;
+    out.memory = std::make_unique<MainMemory>(params.memory,
+                                              stack.back().blockBytes);
+    out.levels.resize(stack.size());
+    for (std::size_t i = stack.size(); i-- > 0;) {
+        MemLevel *next = i + 1 < stack.size()
+                             ? static_cast<MemLevel *>(
+                                   out.levels[i + 1].get())
+                             : static_cast<MemLevel *>(out.memory.get());
+        out.levels[i] = std::make_unique<Cache>(stack[i], next);
+    }
+    for (const auto &level : out.levels)
+        out.view.push_back(level.get());
+    return out;
+}
+
 MemHierarchy::MemHierarchy(const Params &params, const Attach *attach)
     : params_(params)
 {
-    if (!attach) {
-        // Assemble back to front: memory, then the shared stack
-        // deepest first, then the split L1s. The bus moves one block
-        // of the deepest cache level per request.
-        std::vector<CacheParams> stack;
-        stack.push_back(params_.l2);
-        for (const CacheParams &extra : params_.extraLevels)
-            stack.push_back(extra);
-        if (params_.modelWritebacks) {
-            for (CacheParams &level : stack)
-                level.writebackTraffic = true;
-        }
-
-        memory_ = std::make_unique<MainMemory>(params_.memory,
-                                               stack.back().blockBytes);
-        shared_.resize(stack.size());
-        for (std::size_t i = stack.size(); i-- > 0;) {
-            MemLevel *next = i + 1 < stack.size()
-                                 ? static_cast<MemLevel *>(
-                                       shared_[i + 1].get())
-                                 : static_cast<MemLevel *>(memory_.get());
-            shared_[i] = std::make_unique<Cache>(stack[i], next);
-        }
-        for (const auto &level : shared_)
-            sharedView_.push_back(level.get());
-    } else {
+    if (attach) {
         // Attached mode: the shared stack (and main memory) belong to
         // the System; this hierarchy builds only the private L1s on
         // top of the borrowed backend, and wires its D$ into the
@@ -42,18 +45,19 @@ MemHierarchy::MemHierarchy(const Params &params, const Attach *attach)
         if (!attach->backend || attach->shared.empty())
             fatal("memory hierarchy: attach without a shared stack");
         attach_ = *attach;
-        sharedView_ = attach_.shared;
+    } else {
+        // Owning mode: the same attachment, to a stack of its own
+        // and with no coherence bus.
+        own_ = buildShared(params_);
+        attach_ = {own_.levels[0].get(), own_.view, nullptr, 0};
     }
 
-    MemLevel *const l1_next =
-        attach ? attach_.backend
-               : static_cast<MemLevel *>(shared_[0].get());
     CacheParams icache_params = params_.icache;
     CacheParams dcache_params = params_.dcache;
     if (params_.modelWritebacks)
         dcache_params.writebackTraffic = true;
-    icache_ = std::make_unique<Cache>(icache_params, l1_next);
-    dcache_ = std::make_unique<Cache>(dcache_params, l1_next);
+    icache_ = std::make_unique<Cache>(icache_params, attach_.backend);
+    dcache_ = std::make_unique<Cache>(dcache_params, attach_.backend);
 
     if (attach_.bus) {
         attach_.bus->attachCore(attach_.coreId, dcache_.get());
@@ -70,10 +74,10 @@ std::vector<Cache *>
 MemHierarchy::levelsMutable()
 {
     std::vector<Cache *> out;
-    out.reserve(2 + shared_.size());
+    out.reserve(2 + own_.levels.size());
     out.push_back(icache_.get());
     out.push_back(dcache_.get());
-    for (const auto &level : shared_)
+    for (const auto &level : own_.levels)
         out.push_back(level.get());
     return out;
 }
@@ -126,23 +130,24 @@ MemHierarchy::flush()
 {
     for (Cache *level : levelsMutable())
         level->flush();
-    if (memory_)
-        memory_->flush();
+    if (own_.memory)
+        own_.memory->flush();
 }
 
 void
 MemHierarchy::copyStateFrom(const MemHierarchy &other)
 {
-    if (shared_.size() != other.shared_.size())
+    const auto &levels = own_.levels;
+    if (levels.size() != other.own_.levels.size())
         fatal("memory hierarchy: copyStateFrom depth mismatch "
               "(%zu shared levels vs %zu)",
-              shared_.size(), other.shared_.size());
+              levels.size(), other.own_.levels.size());
     icache_->copyStateFrom(*other.icache_);
     dcache_->copyStateFrom(*other.dcache_);
-    for (std::size_t i = 0; i < shared_.size(); ++i)
-        shared_[i]->copyStateFrom(*other.shared_[i]);
-    if (memory_)
-        memory_->copyStateFrom(*other.memory_);
+    for (std::size_t i = 0; i < levels.size(); ++i)
+        levels[i]->copyStateFrom(*other.own_.levels[i]);
+    if (own_.memory)
+        own_.memory->copyStateFrom(*other.own_.memory);
 }
 
 void
@@ -150,8 +155,8 @@ MemHierarchy::settle()
 {
     for (Cache *level : levelsMutable())
         level->settle();
-    if (memory_)
-        memory_->settle();
+    if (own_.memory)
+        own_.memory->settle();
 }
 
 MemHierarchy::State
@@ -169,8 +174,8 @@ MemHierarchy::importState(const State &state)
     std::vector<Cache *> levels = levelsMutable();
     if (state.caches.size() != levels.size())
         return false;
-    if (memory_)
-        memory_->settle();
+    if (own_.memory)
+        own_.memory->settle();
     for (std::size_t i = 0; i < levels.size(); ++i) {
         if (!levels[i]->importState(state.caches[i]))
             return false;

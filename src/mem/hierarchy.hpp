@@ -28,6 +28,17 @@ namespace reno
 
 class CoherenceBus;
 
+/**
+ * The shared levels below the L1s -- the L2, then any deeper levels --
+ * over main memory. An owning MemHierarchy, a System and a WarmState
+ * each own one, all built by MemHierarchy::buildShared().
+ */
+struct SharedStack {
+    std::unique_ptr<MainMemory> memory;
+    std::vector<std::unique_ptr<Cache>> levels;  //!< L2 first
+    std::vector<const Cache *> view;  //!< levels, as borrowed views
+};
+
 /** The hierarchy: I$ + D$ over shared levels over main memory. */
 class MemHierarchy
 {
@@ -62,8 +73,17 @@ class MemHierarchy
         unsigned coreId = 0;
     };
 
-    /** Owning mode when @p attach is null (identical to the
-     *  single-core constructor), attached mode otherwise. */
+    /**
+     * Assemble @p params' shared stack back to front: main memory,
+     * whose bus moves one block of the deepest level per transfer,
+     * then the levels deepest first, each modelling write-back
+     * traffic when params.modelWritebacks.
+     */
+    static SharedStack buildShared(const Params &params);
+
+    /** Owning mode when @p attach is null: the L1s attach to a
+     *  shared stack of their own, with no coherence bus. Attached
+     *  mode otherwise. */
     MemHierarchy(const Params &params, const Attach *attach);
     explicit MemHierarchy(const Params &params)
         : MemHierarchy(params, nullptr)
@@ -72,7 +92,7 @@ class MemHierarchy
     MemHierarchy() : MemHierarchy(Params{}) {}
 
     /** True when the shared stack is borrowed from a System. */
-    bool attached() const { return attach_.backend != nullptr; }
+    bool attached() const { return own_.memory == nullptr; }
 
     /** Instruction fetch of the block containing @p pc. */
     Cycle fetchAccess(Addr pc, Cycle now);
@@ -145,14 +165,14 @@ class MemHierarchy
 
     /** The shared stack below the L1s, nearest first (owned in
      *  single-core mode, borrowed from the System when attached). */
-    std::size_t numSharedLevels() const { return sharedView_.size(); }
+    std::size_t numSharedLevels() const { return attach_.shared.size(); }
     const Cache &sharedLevel(std::size_t i) const
     {
-        return *sharedView_[i];
+        return *attach_.shared[i];
     }
 
     /** Owning mode only (the System owns memory when attached). */
-    const MainMemory &memory() const { return *memory_; }
+    const MainMemory &memory() const { return *own_.memory; }
 
     /**
      * Every cache level this hierarchy OWNS, in State order: I$, D$,
@@ -168,17 +188,15 @@ class MemHierarchy
     std::vector<Cache *> levelsMutable();
     const std::vector<const Cache *> &sharedStack() const
     {
-        return sharedView_;
+        return attach_.shared;
     }
 
     Params params_;
+    /** Where the L1s attach: to own_ when owning, else to the
+     *  System's stack (attach_.shared is the probe/report hot path). */
     Attach attach_;
     Cycle lastCohPenalty_ = 0;
-    std::unique_ptr<MainMemory> memory_;
-    std::vector<std::unique_ptr<Cache>> shared_;  //!< L2 first
-    /** The shared stack as borrowed views: shared_ when owning,
-     *  attach_.shared when attached (probe/report hot path). */
-    std::vector<const Cache *> sharedView_;
+    SharedStack own_;  //!< empty when attached
     std::unique_ptr<Cache> icache_;
     std::unique_ptr<Cache> dcache_;
 };

@@ -1,10 +1,10 @@
 /**
  * @file
- * Campaign-facing CPI-stack artifacts: the per-run report harvested
- * from a Core/System after simulation, and the renderers behind
+ * Campaign-facing CPI-stack artifacts: the per-run report a job's
+ * observers return (obs/observation.hpp), and the renderers behind
  * `reno-sweep --cpi-json/--cpi-html` and `reno-sample --cpi-json`.
  *
- * The report is a side channel next to SimResult -- never serialized
+ * The report travels next to SimResult -- never serialized
  * into the result cache (cache-hit jobs come back with valid=false),
  * never rendered into the standard reports -- so every golden stays
  * byte-identical whether accounting is on or off.
@@ -24,7 +24,7 @@ namespace reno::obs
 
 /** Everything CPI accounting learned about one simulation. */
 struct CpiReport {
-    bool valid = false;  //!< false: accounting was off (or cache hit)
+    bool valid = false;  //!< false: not requested (or cache hit)
     CpiStack machine;    //!< sum over cores; total() == sum of cycles
     /** Per-core stacks (one entry on a single core); each sums to
      *  that core's own cycle count. */

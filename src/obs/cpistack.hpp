@@ -24,21 +24,25 @@
  *   drain                    retire-port vortex, squash refill,
  *                            startup/finish bubbles
  *
- * The accountant increments exactly one bucket per CommitStage::tick,
- * Core::tick calls the commit stage exactly once per cycle, and an
- * idle skip of k cycles charges one bucket k times, so
+ * The accountant (CpiStackObserver, a CoreObserver) increments
+ * exactly one bucket per CommitStage::tick, Core::tick calls the
+ * commit stage exactly once per cycle, and an idle skip of k cycles
+ * charges one bucket k times, so
  *
- *   sum(buckets) == cycles   (per core, by construction).
+ *   sum(buckets) == cycles since attachment   (per core, by
+ *                                              construction).
  *
- * Like the Tracer, accounting is off by default (one relaxed-atomic
- * check at Core construction); SimResult and every digest/golden are
- * untouched, so result caching stays byte-identical either way.
+ * A job attaches the accountant only when its observation request
+ * asks for stacks (obs/observation.hpp); SimResult and every
+ * digest/golden are untouched, so result caching stays byte-identical
+ * either way.
  */
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
+
+#include "uarch/core_observer.hpp"
 
 namespace reno::obs
 {
@@ -108,44 +112,26 @@ struct CpiStack {
     }
 };
 
-/**
- * Process-wide switchboard for CPI accounting and hotspot profiling
- * (the Tracer idiom: relaxed atomics, off by default). Cores check it
- * once at construction, so toggles apply to cores built afterwards.
- */
-class CpiAccounting
+/** The bucket of one commit-stage cycle (the tree in the file
+ *  comment; see CommitStage for the two per-cycle values). */
+CpiBucket classifyCycle(const MachineState &state, unsigned committed,
+                        bool retire_port_stall);
+
+/** Accumulates one core's CPI stack from its attachment on. */
+class CpiStackObserver : public CoreObserver
 {
   public:
-    static CpiAccounting &instance();
-
-    bool
-    stackEnabled() const
-    {
-        return stack_.load(std::memory_order_relaxed);
-    }
     void
-    setStackEnabled(bool on)
+    onCycles(const MachineState &state, unsigned committed,
+             bool retire_port_stall, std::uint64_t n) override
     {
-        stack_.store(on, std::memory_order_relaxed);
+        stack_.inc(classifyCycle(state, committed, retire_port_stall), n);
     }
 
-    /** Hotspot-profiler top-N (0 = profiling off). */
-    unsigned
-    hotspotTopN() const
-    {
-        return hotTopN_.load(std::memory_order_relaxed);
-    }
-    void
-    setHotspotTopN(unsigned n)
-    {
-        hotTopN_.store(n, std::memory_order_relaxed);
-    }
+    const CpiStack &stack() const { return stack_; }
 
   private:
-    CpiAccounting() = default;
-
-    std::atomic<bool> stack_{false};
-    std::atomic<unsigned> hotTopN_{0};
+    CpiStack stack_;
 };
 
 } // namespace reno::obs

@@ -186,18 +186,10 @@ MetricsRegistry::renderJson() const
 bool
 MetricsRegistry::writeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("metrics: cannot write '%s'", path.c_str());
-        return false;
-    }
-    const std::string json = renderJson();
-    const bool ok =
-        std::fwrite(json.data(), 1, json.size(), f) == json.size();
-    std::fclose(f);
-    if (!ok)
-        warn("metrics: short write to '%s'", path.c_str());
-    return ok;
+    if (writeFile(path, renderJson()))
+        return true;
+    warn("metrics: cannot write '%s'", path.c_str());
+    return false;
 }
 
 void

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "pipeline/machine_state.hpp"
+
 namespace reno::obs
 {
 
@@ -55,6 +57,20 @@ HotspotProfile::find(Addr pc, std::uint64_t events)
     }
     dropped_ += events;
     return nullptr;
+}
+
+void
+HotspotProfile::onRetire(const DynInst &inst)
+{
+    retire(inst.rec.pc);
+}
+
+void
+HotspotProfile::onCycles(const MachineState &state, unsigned committed,
+                         bool, std::uint64_t n)
+{
+    if (committed == 0 && !state.rob.empty())
+        stall(state.rob.front()->rec.pc, n);
 }
 
 std::vector<HotspotProfile::Entry>

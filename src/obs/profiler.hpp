@@ -8,8 +8,10 @@
  * (where the time goes). The table never allocates after construction
  * and never grows: once full, new pcs land in a `dropped` counter, so
  * profiling a pathological workload degrades gracefully instead of
- * eating memory. Off by default (CpiAccounting::hotspotTopN == 0);
- * nothing on the simulated path changes when disabled.
+ * eating memory. The profile is a CoreObserver: a job attaches one per
+ * core only when its observation request names a top-N
+ * (obs/observation.hpp), and nothing on the simulated path changes
+ * either way.
  */
 #pragma once
 
@@ -17,11 +19,12 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "uarch/core_observer.hpp"
 
 namespace reno::obs
 {
 
-class HotspotProfile
+class HotspotProfile : public CoreObserver
 {
   public:
     /** One profiled static instruction. */
@@ -48,6 +51,12 @@ class HotspotProfile
         if (Slot *s = find(pc, n))
             s->stallCycles += n;
     }
+
+    /** Retirements count per pc; a cycle that retired nothing is a
+     *  stall of the ROB head, if any. */
+    void onRetire(const DynInst &inst) override;
+    void onCycles(const MachineState &state, unsigned committed,
+                  bool retire_port_stall, std::uint64_t n) override;
 
     /** Top @p n entries by retired count (desc, pc-asc tiebreak). */
     std::vector<Entry> topByRetired(std::size_t n) const;

@@ -5,12 +5,11 @@
 #include "common/cli.hpp"
 #include "common/clock.hpp"
 #include "common/log.hpp"
-#include "obs/cpistack.hpp"
 #include "obs/metrics.hpp"
+#include "obs/observation.hpp"
 #include "obs/phase.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
-#include "trace/pipetrace.hpp"
 
 namespace reno::obs
 {
@@ -35,25 +34,28 @@ addObsFlags(cli::Parser &parser, ObsOptions *opts)
                    opts->progress = true;
                    opts->progressPath = path;
                });
-    parser.flag("--cpi-stack",
-                "per-cycle CPI-stack accounting (every commit-stage "
-                "cycle lands in exactly one bucket)",
-                &opts->cpiStack);
+}
+
+void
+addObservationFlags(cli::Parser &parser, ObservationRequest *request,
+                    std::string *pipetrace_path)
+{
     parser.add("--profile-hot[=N]", cli::Value::Optional,
-               "per-PC hotspot profiling, top N (default 20)",
-               [opts](const std::string &n) {
-                   opts->profileHot =
+               "per-PC hotspot profiling, top N (default 20; needs "
+               "--cpi-json or --cpi-html)",
+               [request](const std::string &n) {
+                   request->hotTopN =
                        n.empty() ? 20
                                  : static_cast<unsigned>(parseCount(
                                        "--profile-hot=", n, 1,
                                        std::numeric_limits<unsigned>::max()));
                });
     parser.add("--pipetrace[=FILE]", cli::Value::Optional,
-               "retired-instruction pipeline diagrams (default: "
-               "stderr)",
-               [opts](const std::string &path) {
-                   opts->pipetrace = true;
-                   opts->pipetracePath = path;
+               "retired-instruction pipeline diagrams, one per "
+               "simulated job in submission order (default: stderr)",
+               [request, pipetrace_path](const std::string &path) {
+                   request->pipetrace = true;
+                   *pipetrace_path = path;
                });
 }
 
@@ -82,35 +84,10 @@ Session::Session(const ObsOptions &opts)
         }
         ProgressMeter::instance().enable(sink);
     }
-    if (opts_.cpiStack)
-        CpiAccounting::instance().setStackEnabled(true);
-    if (opts_.profileHot > 0)
-        CpiAccounting::instance().setHotspotTopN(opts_.profileHot);
-    if (opts_.pipetrace) {
-        std::FILE *sink = stderr;
-        if (!opts_.pipetracePath.empty()) {
-            pipetraceFile_ =
-                std::fopen(opts_.pipetracePath.c_str(), "w");
-            if (!pipetraceFile_)
-                fatal("--pipetrace: cannot write '%s'",
-                      opts_.pipetracePath.c_str());
-            sink = pipetraceFile_;
-        }
-        PipeTraceSink::instance().enable(sink);
-    }
 }
 
 Session::~Session()
 {
-    if (opts_.pipetrace) {
-        PipeTraceSink::instance().disable();
-        if (pipetraceFile_)
-            std::fclose(pipetraceFile_);
-    }
-    if (opts_.cpiStack)
-        CpiAccounting::instance().setStackEnabled(false);
-    if (opts_.profileHot > 0)
-        CpiAccounting::instance().setHotspotTopN(0);
     if (opts_.progress) {
         ProgressMeter::instance().finish();
         if (progressFile_)

@@ -12,10 +12,11 @@
  *                        instructions / spans, the emulator's block
  *                        cache counters and run.wall_seconds
  *   --progress[=FILE]    stream NDJSON heartbeats (default: stderr)
- *   --cpi-stack          per-cycle CPI-stack accounting (obs/cpistack)
- *   --profile-hot[=N]    per-PC hotspot profiling, top N (default 20)
- *   --pipetrace[=FILE]   retired-instruction pipeline diagrams
- *                        (default: stderr)
+ *
+ * These measure the host, so they stay process-wide. What the
+ * simulated cores observe (CPI stacks, hotspots, pipeline traces) is
+ * requested per job instead (obs/observation.hpp), through the flags
+ * addObservationFlags registers.
  *
  * Construction checks the flags' combination (--trace-sample requires
  * --trace-out) and enables the requested facilities; destruction
@@ -38,6 +39,8 @@ class Parser;
 namespace reno::obs
 {
 
+struct ObservationRequest;
+
 /** Parsed obs flags (see file doc for the flag set). */
 struct ObsOptions {
     std::string traceOut;     //!< --trace-out FILE ("" = off)
@@ -45,14 +48,20 @@ struct ObsOptions {
     std::string metricsJson;  //!< --metrics-json FILE ("" = off)
     bool progress = false;    //!< --progress[=FILE]
     std::string progressPath; //!< "" = stderr
-    bool cpiStack = false;    //!< --cpi-stack
-    unsigned profileHot = 0;  //!< --profile-hot[=N] top-N (0 = off)
-    bool pipetrace = false;   //!< --pipetrace[=FILE]
-    std::string pipetracePath;  //!< "" = stderr
 };
 
 /** Register the obs flags, which fill @p *opts. */
 void addObsFlags(cli::Parser &parser, ObsOptions *opts);
+
+/**
+ * Register the per-job core observation flags of a detailed campaign
+ * driver, which fill @p *request and @p *pipetrace_path ("" = stderr):
+ *
+ *   --profile-hot[=N]    per-PC hotspot profiling, top N (default 20)
+ *   --pipetrace[=FILE]   retired-instruction pipeline diagrams
+ */
+void addObservationFlags(cli::Parser &parser, ObservationRequest *request,
+                         std::string *pipetrace_path);
 
 /** RAII activation of the facilities requested in ObsOptions. */
 class Session
@@ -68,7 +77,6 @@ class Session
     ObsOptions opts_;
     std::uint64_t startMicros_ = 0;
     std::FILE *progressFile_ = nullptr;  //!< owned when non-null
-    std::FILE *pipetraceFile_ = nullptr;  //!< owned when non-null
 };
 
 } // namespace reno::obs

@@ -196,18 +196,10 @@ Tracer::renderJson() const
 bool
 Tracer::writeJson(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("tracer: cannot write '%s'", path.c_str());
-        return false;
-    }
-    const std::string json = renderJson();
-    const bool ok =
-        std::fwrite(json.data(), 1, json.size(), f) == json.size();
-    std::fclose(f);
-    if (!ok)
-        warn("tracer: short write to '%s'", path.c_str());
-    return ok;
+    if (writeFile(path, renderJson()))
+        return true;
+    warn("tracer: cannot write '%s'", path.c_str());
+    return false;
 }
 
 void

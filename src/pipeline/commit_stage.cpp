@@ -70,10 +70,8 @@ CommitStage::tick()
         if (d.control)
             ++stats_.retiredBranches;
 
-        if (hot_)
-            hot_->retire(d.rec.pc);
-        if (listener_)
-            listener_->onRetire(d);
+        for (CoreObserver *o : observers_)
+            o->onRetire(d);
 
         const bool exited = d.rec.exited;
         if (d.isLoadInst())
@@ -91,8 +89,8 @@ CommitStage::tick()
     if (committed > 0)
         s_.active = true;
 
-    if (cpi_ || hot_)
-        account(committed, retire_port_stall);
+    for (CoreObserver *o : observers_)
+        o->onCycles(s_, committed, retire_port_stall, 1);
 }
 
 void
@@ -100,90 +98,8 @@ CommitStage::skipIdle(Cycle cycles)
 {
     s_.drainQueue -= static_cast<unsigned>(
         std::min<Cycle>(cycles, s_.drainQueue));
-    if (cpi_ || hot_)
-        account(0, false, cycles);
-}
-
-/**
- * One bucket per cycle. Core::tick calls CommitStage::tick exactly
- * once per cycle, and an idle skip charges one bucket per skipped
- * cycle, so the buckets sum to the cycle count by construction; the
- * tree below only decides WHICH bucket this cycle lands in.
- *
- * Priority (first match wins):
- *   committed > 0                      -> base
- *   retire-port back-pressure          -> drain (the "vortex")
- *   ROB head pending                   -> a backend bucket from the
- *                                         head's own state
- *   ROB empty                          -> a frontend bucket from the
- *                                         fetch-wait hint, else drain
- */
-void
-CommitStage::account(unsigned committed, bool retire_port_stall,
-                     std::uint64_t cycles)
-{
-    using obs::CpiBucket;
-
-    if (hot_ && committed == 0 && !s_.rob.empty())
-        hot_->stall(s_.rob.front()->rec.pc, cycles);
-    if (!cpi_)
-        return;
-
-    CpiBucket b = CpiBucket::Drain;
-    if (committed > 0) {
-        b = CpiBucket::Base;
-    } else if (retire_port_stall) {
-        b = CpiBucket::Drain;
-    } else if (!s_.rob.empty()) {
-        const DynInst &d = *s_.rob.front();
-        if (d.issued) {
-            // Executing: charge the head's own latency source.
-            if (d.isLoadInst()) {
-                if (d.cohDelayed)
-                    b = CpiBucket::BackCoherence;
-                else if (d.memLevel == MemHitLevel::Memory)
-                    b = CpiBucket::BackDcacheMem;
-                else if (d.memLevel == MemHitLevel::L2)
-                    b = CpiBucket::BackDcacheL2;
-                else
-                    b = CpiBucket::BackDcacheL1;
-            } else if (d.isStoreInst()) {
-                b = CpiBucket::BackLsq;
-            } else {
-                b = CpiBucket::BackRob;
-            }
-        } else if (d.issueDom == IssueDom::MemDep) {
-            // Store-set blocked load at the head.
-            b = CpiBucket::BackLsq;
-        } else if (s_.renameStall != RenameStall::None &&
-                   s_.renameStallCycle != InvalidCycle &&
-                   s_.renameStallCycle + 1 == s_.now) {
-            // Rename reported a structural stall LAST cycle (rename
-            // runs after commit within a tick): the machine is
-            // resource-bound, not latency-bound.
-            switch (s_.renameStall) {
-              case RenameStall::Rob: b = CpiBucket::BackRob; break;
-              case RenameStall::Iq: b = CpiBucket::BackIq; break;
-              case RenameStall::Lsq: b = CpiBucket::BackLsq; break;
-              case RenameStall::Pregs: b = CpiBucket::BackPregs; break;
-              case RenameStall::None: break;
-            }
-        } else {
-            // Head dispatched but not yet picked: scheduler latency.
-            b = CpiBucket::BackIq;
-        }
-    } else if (s_.fetchBlocked > 0) {
-        // Fetch is frozen behind an unresolved mispredicted branch.
-        b = CpiBucket::FrontBpred;
-    } else {
-        switch (s_.fetchWait) {
-          case FetchWait::Icache: b = CpiBucket::FrontIcache; break;
-          case FetchWait::Redirect: b = CpiBucket::FrontBpred; break;
-          case FetchWait::Squash:
-          case FetchWait::None: b = CpiBucket::Drain; break;
-        }
-    }
-    cpi_->inc(b, cycles);
+    for (CoreObserver *o : observers_)
+        o->onCycles(s_, 0, false, cycles);
 }
 
 } // namespace reno

@@ -4,19 +4,20 @@
  * the commit width, drains stores and re-executing integrated loads
  * through the single retirement port, flushes misintegrated loads
  * (stale integration-table tuples caught by retirement re-execution),
- * accounts the retirement statistics, and notifies the retire
- * listener. Retired instructions return to the arena.
+ * accounts the retirement statistics, and reports every retirement and
+ * every accounted cycle to the core's observers (uarch/core_observer).
+ * Retired instructions return to the arena.
  */
 #pragma once
 
+#include <vector>
+
 #include "mem/hierarchy.hpp"
-#include "obs/cpistack.hpp"
-#include "obs/profiler.hpp"
 #include "pipeline/machine_state.hpp"
 #include "pipeline/pipeline_stats.hpp"
 #include "reno/renamer.hpp"
+#include "uarch/core_observer.hpp"
 #include "uarch/params.hpp"
-#include "uarch/retire_listener.hpp"
 #include "uarch/store_sets.hpp"
 
 namespace reno
@@ -36,39 +37,22 @@ class CommitStage
     void tick();
 
     /** Account @p cycles idle cycles from now on as that many ticks
-     *  would: the drain queue drains, and the first one's CPI bucket
-     *  and hotspot stall are charged @p cycles times (every idle
-     *  cycle of a stretch lands in the same bucket). */
+     *  would: the drain queue drains, and the observers see the
+     *  first one reported @p cycles times (every idle cycle of a
+     *  stretch looks the same). */
     void skipIdle(Cycle cycles);
 
-    void setListener(RetireListener *listener) { listener_ = listener; }
-    RetireListener *listener() const { return listener_; }
-
-    /** Attach CPI-stack / hotspot accounting (either may be null).
-     *  Core wires this once at construction when enabled. */
-    void
-    setCpi(obs::CpiStack *cpi, obs::HotspotProfile *hot)
-    {
-        cpi_ = cpi;
-        hot_ = hot;
-    }
+    /** Append @p observer (not owned) to the observer list. */
+    void observe(CoreObserver *observer) { observers_.push_back(observer); }
 
   private:
-    /** Classify this tick into exactly one CPI bucket (and charge
-     *  the hotspot profiler), @p cycles times. Called once per tick,
-     *  and once per idle skip, when attached. */
-    void account(unsigned committed, bool retire_port_stall,
-                 std::uint64_t cycles = 1);
-
     const CoreParams &params_;
     RenoRenamer &renamer_;
     StoreSets &ssets_;
     MemHierarchy &mem_;
     MachineState &s_;
     PipelineStats &stats_;
-    RetireListener *listener_ = nullptr;
-    obs::CpiStack *cpi_ = nullptr;
-    obs::HotspotProfile *hot_ = nullptr;
+    std::vector<CoreObserver *> observers_;
 };
 
 } // namespace reno

@@ -101,7 +101,8 @@ SimResult
 runIntervalDetailed(const Workload &workload, const CoreParams &params,
                     const IntervalWindow &window,
                     const SampleCheckpoint *ckpt,
-                    obs::CpiStack *cpi_out)
+                    const obs::ObservationRequest &observe,
+                    obs::Observation *observed)
 {
     if (window.measureInsts == 0)
         fatal("runIntervalDetailed: window has no measured insts");
@@ -167,11 +168,7 @@ runIntervalDetailed(const Workload &workload, const CoreParams &params,
         phase.setInsts(sys.result().retired);
     }
     const SimResult pre = sys.result();
-    std::vector<obs::CpiStack> pre_stacks(n);
-    for (unsigned i = 0; i < n; ++i) {
-        if (sys.core(i).cpiStack())
-            pre_stacks[i] = *sys.core(i).cpiStack();
-    }
+    JobObservers observers(observe, sys);
     SimResult post;
     {
         obs::PhaseSpan phase("sample.detailed");
@@ -179,13 +176,8 @@ runIntervalDetailed(const Workload &workload, const CoreParams &params,
                                    window.measureInsts);
         phase.setInsts(post.retired - pre.retired);
     }
-    if (cpi_out) {
-        for (unsigned i = 0; i < n; ++i) {
-            if (sys.core(i).cpiStack())
-                cpi_out->accumulate(
-                    sys.core(i).cpiStack()->delta(pre_stacks[i]));
-        }
-    }
+    if (observed)
+        *observed = observers.record();
     return deltaResult(post, pre);
 }
 

@@ -21,6 +21,7 @@
 
 #include "emu/emulator.hpp"
 #include "obs/cpistack.hpp"
+#include "obs/observation.hpp"
 #include "sample/warmup.hpp"
 #include "uarch/core.hpp"
 #include "uarch/params.hpp"
@@ -151,15 +152,16 @@ struct SampleCheckpoint {
  * Returns an all-zero SimResult when every program ends before the
  * measured window begins.
  *
- * When @p cpi_out is non-null and obs::CpiAccounting is enabled, it
- * receives the measured window's CPI-stack delta, summed over the
- * cores; otherwise it is left zeroed.
+ * The observers @p observe asks for attach after the detailed warmup,
+ * so they see the measured window alone; when @p observed is non-null
+ * it receives their record (left untouched when nothing measured).
  */
 SimResult runIntervalDetailed(const Workload &workload,
                               const CoreParams &params,
                               const IntervalWindow &window,
                               const SampleCheckpoint *ckpt = nullptr,
-                              obs::CpiStack *cpi_out = nullptr);
+                              const obs::ObservationRequest &observe = {},
+                              obs::Observation *observed = nullptr);
 
 /** Whole-program estimate aggregated from measured windows. */
 struct SampledEstimate {

@@ -268,8 +268,7 @@ runSampledCampaign(const std::vector<const Workload *> &workloads,
 
     SampledCampaign out;
     out.stats = results.stats();
-    const bool want_cpi =
-        obs::CpiAccounting::instance().stackEnabled();
+    const bool want_cpi = options.campaign.observe.cpiStack;
     std::size_t cursor = 0;
     for (const WorkloadPrep &prep : preps) {
         for (const NamedConfig &cfg : configs) {
@@ -285,8 +284,9 @@ runSampledCampaign(const std::vector<const Workload *> &workloads,
                 windows.push_back(jr.sim);
                 // A cache-replayed interval carries no stack; the
                 // zero stack makes aggregateIntervals drop hasCpi.
-                stacks.push_back(jr.cpi.valid ? jr.cpi.machine
-                                              : obs::CpiStack{});
+                stacks.push_back(jr.observed.cpi.valid
+                                     ? jr.observed.cpi.machine
+                                     : obs::CpiStack{});
             }
             SampledRun run;
             run.workload = prep.workload;

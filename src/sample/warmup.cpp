@@ -95,8 +95,8 @@ WarmState::WarmState(const WarmState &other)
       numCores_(other.numCores_)
 {
     build();
-    for (std::size_t i = 0; i < shared_.size(); ++i)
-        shared_[i]->copyStateFrom(*other.shared_[i]);
+    for (std::size_t i = 0; i < shared_.levels.size(); ++i)
+        shared_.levels[i]->copyStateFrom(*other.shared_.levels[i]);
     if (!bus_->importState(other.bus_->exportState()))
         fatal("WarmState clone: bus state does not round-trip");
     for (unsigned i = 0; i < numCores_; ++i) {
@@ -112,30 +112,8 @@ WarmState::build()
     if (numCores_ < 1)
         fatal("WarmState: core count must be positive");
 
-    // The shared stack and memory, assembled exactly as the System
-    // assembles its own (sys/system.cpp): back to front, write-back
-    // modeling propagated, the memory bus moving one block of the
-    // deepest level per transfer.
-    std::vector<CacheParams> stack;
-    stack.push_back(memParams_.l2);
-    for (const CacheParams &extra : memParams_.extraLevels)
-        stack.push_back(extra);
-    if (memParams_.modelWritebacks) {
-        for (CacheParams &level : stack)
-            level.writebackTraffic = true;
-    }
-    memory_ = std::make_unique<MainMemory>(memParams_.memory,
-                                           stack.back().blockBytes);
-    shared_.resize(stack.size());
-    for (std::size_t i = stack.size(); i-- > 0;) {
-        MemLevel *next =
-            i + 1 < stack.size()
-                ? static_cast<MemLevel *>(shared_[i + 1].get())
-                : static_cast<MemLevel *>(memory_.get());
-        shared_[i] = std::make_unique<Cache>(stack[i], next);
-    }
-    for (const auto &level : shared_)
-        sharedView_.push_back(level.get());
+    // The shared stack the System builds (MemHierarchy::buildShared).
+    shared_ = MemHierarchy::buildShared(memParams_);
 
     // Warming-mode bus: default latencies -- the penalties are
     // discarded, only the directory/tag transitions matter.
@@ -147,11 +125,8 @@ WarmState::build()
     coreMem_.reserve(numCores_);
     coreBps_.reserve(numCores_);
     for (unsigned i = 0; i < numCores_; ++i) {
-        MemHierarchy::Attach attach;
-        attach.backend = shared_[0].get();
-        attach.shared = sharedView_;
-        attach.bus = bus_.get();
-        attach.coreId = i;
+        const MemHierarchy::Attach attach{shared_.levels[0].get(),
+                                          shared_.view, bus_.get(), i};
         coreMem_.push_back(
             std::make_unique<MemHierarchy>(memParams_, &attach));
         coreBps_.emplace_back(bpParams_);

@@ -52,10 +52,11 @@ std::uint64_t warmConfigDigest(const CoreParams &params);
  * Functionally warmed state of an N-core System (N = 1 included):
  * per-core private L1s and branch predictors over one shared L2/L3
  * stack, with a warming-mode CoherenceBus keeping the MESI directory
- * and the L1 tag arrays in lockstep. The shared stack is assembled
- * with exactly the System's logic, and the per-core hierarchies
- * attach to it the way the System's cores do -- so injecting this
- * state into a System of the same geometry is a level-by-level copy.
+ * and the L1 tag arrays in lockstep. The shared stack is built as the
+ * System builds its own (MemHierarchy::buildShared), and the per-core
+ * hierarchies attach to it the way the System's cores do -- so
+ * injecting this state into a System of the same geometry is a
+ * level-by-level copy.
  *
  * Warming is tag-pure: the bus's latency penalties are computed and
  * discarded (tag fills are eager and cycle-independent), so the warm
@@ -94,11 +95,11 @@ class WarmState
         return lastFetchBlock_[i];
     }
 
-    std::size_t numSharedLevels() const { return shared_.size(); }
-    Cache &sharedLevel(std::size_t i) { return *shared_[i]; }
+    std::size_t numSharedLevels() const { return shared_.levels.size(); }
+    Cache &sharedLevel(std::size_t i) { return *shared_.levels[i]; }
     const Cache &sharedLevel(std::size_t i) const
     {
-        return *shared_[i];
+        return *shared_.levels[i];
     }
 
     CoherenceBus &bus() { return *bus_; }
@@ -114,9 +115,7 @@ class WarmState
     BranchPredParams bpParams_;
     unsigned numCores_;
 
-    std::unique_ptr<MainMemory> memory_;
-    std::vector<std::unique_ptr<Cache>> shared_;  //!< L2 first
-    std::vector<const Cache *> sharedView_;
+    SharedStack shared_;
     std::unique_ptr<CoherenceBus> bus_;
     std::vector<std::unique_ptr<MemHierarchy>> coreMem_;
     std::vector<BranchPredictor> coreBps_;

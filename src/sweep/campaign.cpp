@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include "common/cli.hpp"
@@ -82,39 +83,29 @@ Campaign::addCross(const std::vector<const Workload *> &workloads,
 }
 
 JobResult
-executeJob(const Job &job)
+executeJob(const Job &job, const obs::ObservationRequest &observe)
 {
     JobResult r;
     if (job.sampled()) {
         if (job.wantCpa)
             fatal("critical-path analysis is not supported for "
                   "sampled jobs");
-        obs::CpiStack window_stack;
-        r.sim = sample::runIntervalDetailed(*job.workload,
-                                            job.config.params,
-                                            job.window,
-                                            &job.checkpoint,
-                                            &window_stack);
-        if (obs::CpiAccounting::instance().stackEnabled()) {
-            r.cpi.valid = true;
-            r.cpi.machine = window_stack;
-        }
+        r.sim = sample::runIntervalDetailed(
+            *job.workload, job.config.params, job.window,
+            &job.checkpoint, observe, &r.observed);
         return r;
     }
-    if (job.wantCpa) {
-        CriticalPathAnalyzer cpa(job.cpaChunk,
-                                 job.config.params.robEntries,
-                                 job.config.params.iqEntries);
-        RunOutput run =
-            runWorkload(*job.workload, job.config.params, &cpa);
-        r.sim = run.sim;
-        r.cpi = std::move(run.cpi);
+    std::optional<CriticalPathAnalyzer> cpa;
+    if (job.wantCpa)
+        cpa.emplace(job.cpaChunk, job.config.params.robEntries,
+                    job.config.params.iqEntries);
+    RunOutput run = runWorkload(*job.workload, job.config.params,
+                                cpa ? &*cpa : nullptr, observe);
+    r.sim = run.sim;
+    r.observed = std::move(run.observed);
+    if (cpa) {
         r.hasCpa = true;
-        r.cpaWeights = cpa.buckets();
-    } else {
-        RunOutput run = runWorkload(*job.workload, job.config.params);
-        r.sim = run.sim;
-        r.cpi = std::move(run.cpi);
+        r.cpaWeights = cpa->buckets();
     }
     return r;
 }
@@ -205,7 +196,7 @@ Campaign::run(const CampaignOptions &options) const
                          std::uint64_t(slot->job->sampled() ? 1 : 0))
                     .add("cache", "miss")
                     .str());
-            slot->result = executeJob(*slot->job);
+            slot->result = executeJob(*slot->job, options.observe);
         }
         const std::uint64_t end_us = steadyClock().nowMicros();
         busy_micros.fetch_add(end_us - start_us,

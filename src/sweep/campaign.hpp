@@ -41,6 +41,9 @@ struct CampaignOptions {
     ResultCache *cache = nullptr;
     /** Print an execution summary to stderr after the run. */
     bool stats = false;
+    /** What every simulated job observes (JobResult::observed). Not
+     *  part of any job digest: it changes no result. */
+    obs::ObservationRequest observe;
 };
 
 /** Resolve a --jobs request: @p requested, else every host core. */
@@ -119,7 +122,9 @@ class Campaign
     std::vector<Job> jobs_;
 };
 
-/** Execute one job immediately on the calling thread (no cache). */
-JobResult executeJob(const Job &job);
+/** Execute one job immediately on the calling thread (no cache),
+ *  observing what @p observe asks for. */
+JobResult executeJob(const Job &job,
+                     const obs::ObservationRequest &observe = {});
 
 } // namespace reno::sweep

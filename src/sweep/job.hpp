@@ -64,13 +64,13 @@ struct JobResult {
     std::array<std::uint64_t, NumCpBuckets> cpaWeights{};
 
     /**
-     * CPI-stack / hotspot side channel, valid only when
-     * obs::CpiAccounting was enabled while this job simulated.
+     * What the campaign's observation request
+     * (CampaignOptions::observe) saw while this job simulated.
      * Deliberately NOT serialized by the result cache (the cache
-     * format and job digests are profiling-agnostic), so a cache hit
-     * always comes back with cpi.valid == false.
+     * format and job digests are observation-agnostic), so a cache
+     * hit always comes back with an empty record.
      */
-    obs::CpiReport cpi;
+    obs::Observation observed;
 
     /** Normalized critical-path breakdown (fractions summing to ~1). */
     std::array<double, NumCpBuckets>

@@ -1,5 +1,10 @@
 #include "sweep/reporter.hpp"
 
+#include <set>
+
+#include "common/log.hpp"
+#include "trace/pipetrace.hpp"
+
 namespace reno::sweep
 {
 
@@ -93,6 +98,26 @@ renderResults(const CampaignResults &results, ReportFormat format,
                               : recordFor(results.job(i),
                                           results.at(i)));
     return renderRecords(records, format);
+}
+
+std::string
+renderPipeTraces(const CampaignResults &results)
+{
+    std::string out;
+    std::set<std::uint64_t> seen;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const auto &traces = results.at(i).observed.pipetrace;
+        if (traces.empty() || !seen.insert(jobDigest(results.job(i))).second)
+            continue;
+        const std::string &name = results.job(i).workload->name;
+        for (std::size_t c = 0; c < traces.size(); ++c) {
+            out += traces.size() == 1
+                       ? "== " + name + " ==\n"
+                       : strprintf("== %s core%zu ==\n", name.c_str(), c);
+            out += renderPipeTrace(traces[c]);
+        }
+    }
+    return out;
 }
 
 std::string

@@ -38,6 +38,15 @@ ReportRecord recordForFull(const Job &job, const JobResult &result);
 std::string renderResults(const CampaignResults &results,
                           ReportFormat format, bool all_stats = false);
 
+/**
+ * Every job's pipeline traces (JobResult::observed.pipetrace), in
+ * submission order: one "== <workload> ==" diagram per core ("==
+ * <workload> core<i> ==" on more than one), once per simulated job.
+ * A job that repeats an earlier job's digest shares its simulation
+ * and adds nothing; a cache hit carries no trace.
+ */
+std::string renderPipeTraces(const CampaignResults &results);
+
 /** Render @p records in @p format (trailing newline included); the
  *  one format switch behind every campaign and sampler report. */
 std::string renderRecords(const std::vector<ReportRecord> &records,

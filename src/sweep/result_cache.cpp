@@ -54,11 +54,11 @@ ResultCache::lookup(std::uint64_t digest, JobResult *out)
 void
 ResultCache::store(std::uint64_t digest, const JobResult &result)
 {
-    // The CPI-stack side channel is never cached (the disk format
+    // The observation record is never cached (the disk format
     // predates it); dropping it from the memory tier too keeps the
-    // invariant uniform: a cache hit never carries a stack.
+    // invariant uniform: a cache hit never carries observations.
     JobResult cached = result;
-    cached.cpi = obs::CpiReport{};
+    cached.observed = obs::Observation{};
     {
         std::lock_guard<std::mutex> lock(mu_);
         mem_[digest] = std::move(cached);

@@ -26,7 +26,7 @@ checkedNumCores(const SysParams &sys)
 
 System::System(const CoreParams &params,
                const std::vector<Emulator *> &emus)
-    : params_(params),
+    : params_(params), shared_(MemHierarchy::buildShared(params.mem)),
       bus_(params.sys, params.mem.dcache.blockBytes,
            checkedNumCores(params.sys))
 {
@@ -35,40 +35,12 @@ System::System(const CoreParams &params,
         fatal("system: %u cores need %u emulators (got %zu)", n, n,
               emus.size());
 
-    // The shared stack and memory, assembled exactly as an owning
-    // hierarchy assembles its own (mem/hierarchy.cpp):
-    // back to front, write-back modeling propagated, the memory bus
-    // moving one block of the deepest level per transfer.
-    std::vector<CacheParams> stack;
-    stack.push_back(params_.mem.l2);
-    for (const CacheParams &extra : params_.mem.extraLevels)
-        stack.push_back(extra);
-    if (params_.mem.modelWritebacks) {
-        for (CacheParams &level : stack)
-            level.writebackTraffic = true;
-    }
-    memory_ = std::make_unique<MainMemory>(params_.mem.memory,
-                                           stack.back().blockBytes);
-    shared_.resize(stack.size());
-    for (std::size_t i = stack.size(); i-- > 0;) {
-        MemLevel *next =
-            i + 1 < stack.size()
-                ? static_cast<MemLevel *>(shared_[i + 1].get())
-                : static_cast<MemLevel *>(memory_.get());
-        shared_[i] = std::make_unique<Cache>(stack[i], next);
-    }
-    for (const auto &level : shared_)
-        sharedView_.push_back(level.get());
-
     cores_.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
         if (!emus[i])
             fatal("system: null emulator for core %u", i);
-        MemHierarchy::Attach attach;
-        attach.backend = shared_[0].get();
-        attach.shared = sharedView_;
-        attach.bus = &bus_;
-        attach.coreId = i;
+        const MemHierarchy::Attach attach{shared_.levels[0].get(),
+                                          shared_.view, &bus_, i};
         cores_.push_back(
             std::make_unique<Core>(params_, *emus[i], &attach));
     }
@@ -196,11 +168,11 @@ System::result() const
     // The shared stack, accounted once (attached cores report only
     // their private L1s). Stack index 0 is machine level 2 (the L2);
     // deeper levels aggregate into the "l3" slot.
-    agg.l2Misses = shared_[0]->misses();
-    for (std::size_t i = 0; i < shared_.size(); ++i) {
+    agg.l2Misses = shared_.levels[0]->misses();
+    for (std::size_t i = 0; i < shared_.levels.size(); ++i) {
         const unsigned slot = static_cast<unsigned>(
             std::min<std::size_t>(i + 2, NumMemStatLevels - 1));
-        const Cache &c = *shared_[i];
+        const Cache &c = *shared_.levels[i];
         agg.memHits[slot] += c.hits();
         agg.memMshrMerges[slot] += c.mshrMerges();
         agg.memWritebacks[slot] += c.writebacks();

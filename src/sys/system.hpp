@@ -26,8 +26,8 @@
  * Every detailed run goes through a System, one core included. A
  * 1-core System is cycle-identical to a bare Core that owns its whole
  * hierarchy, by construction: a one-core bus keeps no directory and
- * charges no penalty, and the shared stack is assembled with exactly
- * the owning hierarchy's logic (mem/hierarchy.cpp).
+ * charges no penalty, and the shared stack is the one an owning
+ * hierarchy builds (MemHierarchy::buildShared).
  */
 #pragma once
 
@@ -90,11 +90,11 @@ class System
 
     /** The shared stack under the private L1s, nearest (L2) first;
      *  mutable for warm-state injection. */
-    std::size_t numSharedLevels() const { return shared_.size(); }
-    Cache &sharedLevel(std::size_t i) { return *shared_[i]; }
+    std::size_t numSharedLevels() const { return shared_.levels.size(); }
+    Cache &sharedLevel(std::size_t i) { return *shared_.levels[i]; }
     const Cache &sharedLevel(std::size_t i) const
     {
-        return *shared_[i];
+        return *shared_.levels[i];
     }
 
     /**
@@ -110,9 +110,7 @@ class System
     std::uint64_t totalRetired() const;
 
     CoreParams params_;
-    std::unique_ptr<MainMemory> memory_;
-    std::vector<std::unique_ptr<Cache>> shared_;  //!< L2 first
-    std::vector<const Cache *> sharedView_;
+    SharedStack shared_;
     CoherenceBus bus_;
     std::vector<std::unique_ptr<Core>> cores_;
     Cycle now_ = 0;

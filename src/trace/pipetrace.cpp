@@ -137,41 +137,4 @@ renderPipeTrace(const std::vector<PipeRecord> &records, unsigned width)
     return out;
 }
 
-PipeTraceSink &
-PipeTraceSink::instance()
-{
-    static PipeTraceSink sink;
-    return sink;
-}
-
-void
-PipeTraceSink::enable(std::FILE *sink)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    sink_ = sink;
-    enabled_.store(true, std::memory_order_relaxed);
-}
-
-void
-PipeTraceSink::disable()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    enabled_.store(false, std::memory_order_relaxed);
-    sink_ = nullptr;
-}
-
-void
-PipeTraceSink::emit(const std::string &header,
-                    const std::vector<PipeRecord> &records)
-{
-    if (!enabled())
-        return;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!sink_)
-        return;
-    const std::string body = renderPipeTrace(records);
-    std::fprintf(sink_, "== %s ==\n%s", header.c_str(), body.c_str());
-    std::fflush(sink_);
-}
-
 } // namespace reno

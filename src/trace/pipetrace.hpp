@@ -2,7 +2,7 @@
  * @file
  * Pipeline trace collection and rendering.
  *
- * A PipeTracer is a RetireListener that records, for every retired
+ * A PipeTracer is a CoreObserver that records, for every retired
  * dynamic instruction, the cycle each pipeline stage handled it plus
  * the RENO rename outcome (which optimization collapsed it, which
  * physical register it shares, the accumulated map-table displacement).
@@ -21,15 +21,12 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "uarch/dyninst.hpp"
-#include "uarch/retire_listener.hpp"
+#include "uarch/core_observer.hpp"
 
 namespace reno
 {
@@ -59,7 +56,7 @@ struct PipeRecord {
 };
 
 /** Collects PipeRecords from a Core. */
-class PipeTracer : public RetireListener
+class PipeTracer : public CoreObserver
 {
   public:
     struct Options {
@@ -101,41 +98,5 @@ std::string renderPipeLine(const PipeRecord &rec, Cycle origin,
  */
 std::string renderPipeTrace(const std::vector<PipeRecord> &records,
                             unsigned width = 64);
-
-/**
- * Process-wide sink behind `--pipetrace[=FILE]` (obs::Session): when
- * enabled, the harness attaches a bounded PipeTracer to every core it
- * runs and emits the rendered diagram here after the run. Off by
- * default; the sink never changes anything the simulation computes.
- * Emission is serialized under one mutex so concurrent campaign
- * workers never interleave diagrams.
- */
-class PipeTraceSink
-{
-  public:
-    static PipeTraceSink &instance();
-
-    bool
-    enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-
-    /** Start collecting to @p sink (not owned; stderr or a file). */
-    void enable(std::FILE *sink);
-    void disable();
-
-    /** Write "== <header> ==" plus the rendered trace. No-op when
-     *  disabled. */
-    void emit(const std::string &header,
-              const std::vector<PipeRecord> &records);
-
-  private:
-    PipeTraceSink() = default;
-
-    std::atomic<bool> enabled_{false};
-    std::mutex mu_;
-    std::FILE *sink_ = nullptr;
-};
 
 } // namespace reno

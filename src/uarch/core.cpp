@@ -24,16 +24,6 @@ Core::Core(const CoreParams &params, Emulator &emu,
 {
     if (params.numPregs < NumLogRegs + 1)
         fatal("numPregs must exceed the number of logical registers");
-    // CPI / hotspot accounting is sampled once per core construction
-    // (the Tracer idiom): purely observational, never part of
-    // CoreParams, so job digests and SimResults are unaffected.
-    const auto &acc = obs::CpiAccounting::instance();
-    if (acc.stackEnabled())
-        cpi_ = std::make_unique<obs::CpiStack>();
-    if (acc.hotspotTopN() > 0)
-        hot_ = std::make_unique<obs::HotspotProfile>();
-    if (cpi_ || hot_)
-        commit_.setCpi(cpi_.get(), hot_.get());
     renamer_.initialize(emu.state().regs);
     // An emulator that already ran to completion -- a sampled window
     // whose start lies past this core's exit on a multi-core System

@@ -31,21 +31,18 @@
  * head's arrival at rename, or the end of a fetch stall. Every cycle
  * before that would tick identically, so idleUntil() names that
  * cycle and skipIdle() accounts the cycles in between exactly as
- * ticks would (drain queue, rename stall counters, CPI bucket and
- * hotspot stall): results, CPI stacks and trace samples match a
- * tick-by-tick run.
+ * ticks would (drain queue, rename stall counters, and one observer
+ * report for the whole stretch): results, CPI stacks and trace
+ * samples match a tick-by-tick run.
  */
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "bpred/predictor.hpp"
 #include "emu/emulator.hpp"
 #include "mem/hierarchy.hpp"
-#include "obs/cpistack.hpp"
-#include "obs/profiler.hpp"
 #include "pipeline/commit_stage.hpp"
 #include "pipeline/fetch_stage.hpp"
 #include "pipeline/issue_stage.hpp"
@@ -53,9 +50,9 @@
 #include "pipeline/pipeline_stats.hpp"
 #include "pipeline/rename_stage.hpp"
 #include "reno/renamer.hpp"
+#include "uarch/core_observer.hpp"
 #include "uarch/dyninst.hpp"
 #include "uarch/params.hpp"
-#include "uarch/retire_listener.hpp"
 #include "uarch/sim_result.hpp"
 #include "uarch/store_sets.hpp"
 
@@ -123,22 +120,16 @@ class Core
     MemHierarchy &memHierarchy() { return mem_; }
     BranchPredictor &branchPredictor() { return bp_; }
 
-    void setRetireListener(RetireListener *listener)
-    {
-        commit_.setListener(listener);
-    }
+    /** Attach @p observer (not owned; it must outlive the run): the
+     *  commit stage reports every retirement and every cycle from
+     *  now on to each attached observer, in attach order. */
+    void observe(CoreObserver *observer) { commit_.observe(observer); }
 
     /** Current result snapshot (valid mid-run too). */
     SimResult result() const;
 
     /** The explicit machine state (tests, visualization). */
     const MachineState &machineState() const { return state_; }
-
-    /** CPI-stack accountant (null unless CpiAccounting enabled it at
-     *  construction). Sum of its buckets == now() by construction. */
-    const obs::CpiStack *cpiStack() const { return cpi_.get(); }
-    /** Hotspot profiler (null unless enabled at construction). */
-    const obs::HotspotProfile *hotspots() const { return hot_.get(); }
 
     /** Emit result() as one trace counter sample, every
      *  SimResultFields entry under its registry name, on this core's
@@ -163,11 +154,6 @@ class Core
     /** Trace counter lane of sampleStatsCounter(). */
     std::string statsLane_;
     std::uint64_t skipped_ = 0;
-
-    /** CPI accounting, allocated only when CpiAccounting says so at
-     *  construction -- a disabled run never touches these. */
-    std::unique_ptr<obs::CpiStack> cpi_;
-    std::unique_ptr<obs::HotspotProfile> hot_;
 
     FetchStage fetch_;
     RenameStage rename_;

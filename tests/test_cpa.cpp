@@ -47,7 +47,7 @@ runCritpath(const std::string &src, const CoreParams &params)
     Core core(params, emu);
     CriticalPathAnalyzer cpa(1'000'000, params.robEntries,
                              params.iqEntries);
-    core.setRetireListener(&cpa);
+    core.observe(&cpa);
     core.run();
     cpa.finish();
     return cpa.breakdown();

@@ -14,11 +14,13 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/experiment.hpp"
 #include "obs/cpireport.hpp"
 #include "obs/cpistack.hpp"
+#include "obs/observation.hpp"
 #include "obs/profiler.hpp"
 #include "sample/interval.hpp"
 #include "sample/sampler.hpp"
@@ -30,19 +32,15 @@ using namespace reno::obs;
 namespace
 {
 
-/** RAII accounting activation; never leaks into the next test. */
-struct CpiGuard {
-    explicit CpiGuard(bool stack, unsigned hot_top_n = 0)
-    {
-        CpiAccounting::instance().setStackEnabled(stack);
-        CpiAccounting::instance().setHotspotTopN(hot_top_n);
-    }
-    ~CpiGuard()
-    {
-        CpiAccounting::instance().setStackEnabled(false);
-        CpiAccounting::instance().setHotspotTopN(0);
-    }
-};
+/** A request for CPI stacks and, when @p hot_top_n > 0, hotspots. */
+ObservationRequest
+stacks(unsigned hot_top_n = 0)
+{
+    ObservationRequest request;
+    request.cpiStack = true;
+    request.hotTopN = hot_top_n;
+    return request;
+}
 
 NamedConfig
 renoConfig(const char *name = "RENO")
@@ -123,23 +121,23 @@ TEST(HotspotProfile, CountsRanksAndDropsDeterministically)
 
 TEST(CpiStack, SumsExactlyToCyclesOnEverySuiteWorkload)
 {
-    const CpiGuard guard(true, 10);
     const NamedConfig cfg = renoConfig();
 
     // Single-core detailed: machine stack == cycles, exactly.
     for (const char *suite : {"synth", "mem", "branch"}) {
         for (const Workload *w : suiteWorkloads(suite)) {
-            const RunOutput out = runWorkload(*w, cfg.params);
-            ASSERT_TRUE(out.cpi.valid) << w->name;
-            EXPECT_EQ(out.cpi.machine.total(), out.sim.cycles)
+            const RunOutput out =
+                runWorkload(*w, cfg.params, nullptr, stacks(10));
+            ASSERT_TRUE(out.observed.cpi.valid) << w->name;
+            EXPECT_EQ(out.observed.cpi.machine.total(), out.sim.cycles)
                 << w->name;
-            ASSERT_EQ(out.cpi.perCore.size(), 1u) << w->name;
-            EXPECT_EQ(out.cpi.perCore[0].total(), out.sim.cycles)
+            ASSERT_EQ(out.observed.cpi.perCore.size(), 1u) << w->name;
+            EXPECT_EQ(out.observed.cpi.perCore[0].total(), out.sim.cycles)
                 << w->name;
             // Retired instructions all passed through the profiler.
             std::uint64_t profiled = 0;
             for (const auto &e :
-                 out.cpi.hotRetired)
+                 out.observed.cpi.hotRetired)
                 profiled += e.retired;
             EXPECT_GT(profiled, 0u) << w->name;
         }
@@ -150,17 +148,18 @@ TEST(CpiStack, SumsExactlyToCyclesOnEverySuiteWorkload)
     // is their exact sum.
     const NamedConfig cfg2 = renoConfig("RENO/2c");
     for (const Workload *w : suiteWorkloads("multi")) {
-        const RunOutput out = runWorkload(*w, cfg2.params);
-        ASSERT_TRUE(out.cpi.valid) << w->name;
-        ASSERT_EQ(out.cpi.perCore.size(), 2u) << w->name;
+        const RunOutput out =
+            runWorkload(*w, cfg2.params, nullptr, stacks(10));
+        ASSERT_TRUE(out.observed.cpi.valid) << w->name;
+        ASSERT_EQ(out.observed.cpi.perCore.size(), 2u) << w->name;
         std::uint64_t sum = 0;
         for (unsigned c = 0; c < 2; ++c) {
-            EXPECT_EQ(out.cpi.perCore[c].total(),
+            EXPECT_EQ(out.observed.cpi.perCore[c].total(),
                       out.sim.coreCycles[c])
                 << w->name << " core " << c;
-            sum += out.cpi.perCore[c].total();
+            sum += out.observed.cpi.perCore[c].total();
         }
-        EXPECT_EQ(out.cpi.machine.total(), sum) << w->name;
+        EXPECT_EQ(out.observed.cpi.machine.total(), sum) << w->name;
     }
 }
 
@@ -172,9 +171,9 @@ TEST(CpiStack, SimResultIsByteIdenticalWithProfilingOnAndOff)
     const SimResult off = runWorkload(w, cfg.params).sim;
     SimResult on;
     {
-        const CpiGuard guard(true, 20);
-        const RunOutput out = runWorkload(w, cfg.params);
-        EXPECT_TRUE(out.cpi.valid);
+        const RunOutput out = runWorkload(w, cfg.params, nullptr,
+                                          stacks(20));
+        EXPECT_TRUE(out.observed.cpi.valid);
         on = out.sim;
     }
     const SimResult off_again = runWorkload(w, cfg.params).sim;
@@ -192,7 +191,6 @@ TEST(CpiStack, SimResultIsByteIdenticalWithProfilingOnAndOff)
 
 TEST(CpiStack, SampledWindowStackMatchesWindowCycles)
 {
-    const CpiGuard guard(true);
     const Workload &w = workloadByName("synth.plain");
     const NamedConfig cfg = renoConfig();
 
@@ -200,18 +198,20 @@ TEST(CpiStack, SampledWindowStackMatchesWindowCycles)
     win.startInst = 50'000;
     win.warmupInsts = 500;
     win.measureInsts = 5000;
-    CpiStack stack;
+    Observation observed;
     const SimResult delta = sample::runIntervalDetailed(
-        w, cfg.params, win, nullptr, &stack);
+        w, cfg.params, win, nullptr, stacks(), &observed);
+    const CpiStack &stack = observed.cpi.machine;
     EXPECT_EQ(stack.total(), delta.cycles);
 
     // Multi-core window: the stack delta sums the per-core cycle
     // deltas, matching SimResult's per-core counters exactly.
     const NamedConfig cfg2 = renoConfig("RENO/2c");
     const Workload &mw = workloadByName("multi.false");
-    CpiStack stack2;
+    Observation observed2;
     const SimResult delta2 = sample::runIntervalDetailed(
-        mw, cfg2.params, win, nullptr, &stack2);
+        mw, cfg2.params, win, nullptr, stacks(), &observed2);
+    const CpiStack &stack2 = observed2.cpi.machine;
     EXPECT_EQ(stack2.total(),
               delta2.coreCycles[0] + delta2.coreCycles[1]);
     EXPECT_GT(stack2.total(), 0u);
@@ -230,9 +230,9 @@ TEST(CpiStack, SampledExtrapolationTracksFullDetailWithinGate)
     for (const Workload *w : workloads)
         full_cycles.push_back(runWorkload(*w, cfg.params).sim.cycles);
 
-    const CpiGuard guard(true);
     sample::SampleOptions options;
     options.campaign.jobs = 1;
+    options.campaign.observe.cpiStack = true;
     const sample::SampledCampaign sampled =
         sample::runSampledCampaign(workloads, {cfg}, options);
     ASSERT_EQ(sampled.runs.size(), workloads.size());
@@ -255,4 +255,31 @@ TEST(CpiStack, SampledExtrapolationTracksFullDetailWithinGate)
             static_cast<double>(full_cycles[i]) * 100.0;
         EXPECT_LE(err, 5.0) << workloads[i]->name;
     }
+}
+
+TEST(CpiStack, ConcurrentRunsObserveOnlyWhatEachRequests)
+{
+    // Two jobs in one process at the same time, one asking for stacks
+    // and one not: the request is per job, so neither sees the
+    // other's.
+    const Workload &w = workloadByName("synth.mix");
+    const NamedConfig cfg = renoConfig();
+    RunOutput with, without;
+    std::thread a([&] {
+        with = runWorkload(w, cfg.params, nullptr, stacks(5));
+    });
+    std::thread b([&] { without = runWorkload(w, cfg.params); });
+    a.join();
+    b.join();
+
+    ASSERT_TRUE(with.observed.cpi.valid);
+    EXPECT_EQ(with.observed.cpi.machine.total(), with.sim.cycles);
+    EXPECT_FALSE(with.observed.cpi.hotRetired.empty());
+    EXPECT_FALSE(without.observed.cpi.valid);
+    EXPECT_TRUE(without.observed.cpi.perCore.empty());
+    EXPECT_TRUE(without.observed.cpi.hotRetired.empty());
+    for (const SimStatField &field : simResultFields())
+        EXPECT_EQ(statValue(with.sim, field),
+                  statValue(without.sim, field))
+            << field.name;
 }

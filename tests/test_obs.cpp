@@ -21,6 +21,7 @@
 #include "common/log.hpp"
 #include "harness/experiment.hpp"
 #include "obs/metrics.hpp"
+#include "obs/observation.hpp"
 #include "obs/phase.hpp"
 #include "obs/progress.hpp"
 #include "obs/session.hpp"
@@ -343,8 +344,11 @@ TEST(ObsArgsDeath, MalformedCountsAreRejectedNamingTheFlag)
     const auto dies = [](std::vector<const char *> argv,
                          const char *message) {
         ObsOptions opts;
+        ObservationRequest request;
+        std::string pipetrace_path;
         cli::Parser parser;
         addObsFlags(parser, &opts);
+        addObservationFlags(parser, &request, &pipetrace_path);
         EXPECT_EXIT(parser.parse(static_cast<int>(argv.size()),
                                  const_cast<char **>(argv.data())),
                     ::testing::ExitedWithCode(1), message);
@@ -354,6 +358,28 @@ TEST(ObsArgsDeath, MalformedCountsAreRejectedNamingTheFlag)
     dies({"prog", "--trace-out", "t.json", "--trace-sample=-1"},
          "--trace-sample expects a positive integer, got '-1'");
     dies({"prog", "--profile-hot=-5"}, "--profile-hot= expects 1");
+}
+
+TEST(ObsArgsDeath, HostFlagsAloneRejectCoreObservationFlags)
+{
+    // reno-sample's table: the host flags and the campaign flags, but
+    // no core observation flags, which sampled jobs cannot honour.
+    const auto rejects = [](const char *arg) {
+        ObsOptions opts;
+        sweep::CampaignOptions campaign;
+        cli::Parser parser;
+        addObsFlags(parser, &opts);
+        sweep::addCampaignFlags(parser, &campaign);
+        std::vector<const char *> argv = {"prog", arg};
+        EXPECT_EXIT(parser.parse(static_cast<int>(argv.size()),
+                                 const_cast<char **>(argv.data())),
+                    ::testing::ExitedWithCode(1),
+                    std::string("unknown argument '") + arg + "'");
+    };
+    rejects("--pipetrace");
+    rejects("--pipetrace=trace.txt");
+    rejects("--profile-hot=5");
+    rejects("--cpi-stack");
 }
 
 TEST(Trace, SimResultsAreByteIdenticalWithTracingOnAndOff)

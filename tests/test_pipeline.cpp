@@ -539,12 +539,10 @@ namespace
  *  sample points land inside idle stretches as well as busy ones. */
 constexpr std::uint64_t SampleEvery = 997;
 
-/** CPI accounting, hotspots and trace sampling on for one scope. */
+/** Trace sampling on for one scope. */
 struct ObservedScope {
     ObservedScope()
     {
-        obs::CpiAccounting::instance().setStackEnabled(true);
-        obs::CpiAccounting::instance().setHotspotTopN(16);
         obs::Tracer::instance().clear();
         obs::Tracer::instance().setCycleSampleInterval(SampleEvery);
         obs::Tracer::instance().start();
@@ -554,9 +552,23 @@ struct ObservedScope {
         obs::Tracer::instance().stop();
         obs::Tracer::instance().clear();
         obs::Tracer::instance().setCycleSampleInterval(0);
-        obs::CpiAccounting::instance().setStackEnabled(false);
-        obs::CpiAccounting::instance().setHotspotTopN(0);
     }
+};
+
+/** A CPI stack and a hotspot profile observing each of some cores
+ *  from construction on. */
+struct Probes {
+    explicit Probes(const std::vector<Core *> &cores)
+        : stacks(cores.size()), hot(cores.size())
+    {
+        for (std::size_t i = 0; i < cores.size(); ++i) {
+            cores[i]->observe(&stacks[i]);
+            cores[i]->observe(&hot[i]);
+        }
+    }
+
+    std::vector<obs::CpiStackObserver> stacks;
+    std::vector<obs::HotspotProfile> hot;
 };
 
 /** Everything a run can be observed through. */
@@ -570,20 +582,21 @@ struct Observed {
     std::vector<std::string> samples;
 };
 
-/** Snapshot @p cores after a run and drain the trace buffer. */
+/** Snapshot @p probes after a run and drain the trace buffer. */
 Observed
-observe(const SimResult &sim, const std::vector<const Core *> &cores)
+observe(const SimResult &sim, const Probes &probes)
 {
     Observed o;
     o.sim = sim;
-    for (const Core *c : cores) {
-        o.stacks.push_back(*c->cpiStack());
+    for (std::size_t c = 0; c < probes.stacks.size(); ++c) {
+        o.stacks.push_back(probes.stacks[c].stack());
+        const obs::HotspotProfile &hot = probes.hot[c];
         std::vector<obs::HotspotProfile::Entry> rows =
-            c->hotspots()->topByStall(1'000'000);
-        for (const auto &e : c->hotspots()->topByRetired(1'000'000))
+            hot.topByStall(1'000'000);
+        for (const auto &e : hot.topByRetired(1'000'000))
             rows.push_back(e);
         o.hot.push_back(rows);
-        o.hotDropped.push_back(c->hotspots()->dropped());
+        o.hotDropped.push_back(hot.dropped());
     }
     for (const obs::TraceEvent &e : obs::Tracer::instance().events()) {
         if (e.ph == obs::TraceEvent::Phase::Counter)
@@ -654,10 +667,10 @@ tickSystem(System &sys, std::uint64_t bound, Cycle max_cycles)
         });
 }
 
-std::vector<const Core *>
-coresOf(const System &sys)
+std::vector<Core *>
+coresOf(System &sys)
 {
-    std::vector<const Core *> cores;
+    std::vector<Core *> cores;
     for (unsigned i = 0; i < sys.numCores(); ++i)
         cores.push_back(&sys.core(i));
     return cores;
@@ -676,16 +689,18 @@ expectCoreSkipMatchesTicks(const Program &prog, const CoreParams &params,
 
     Emulator emu_skip(prog, opts);
     Core skip(params, emu_skip);
-    const Observed a = observe(skip.run(), {&skip});
+    const Probes skip_probes({&skip});
+    const Observed a = observe(skip.run(), skip_probes);
 
     Emulator emu_tick(prog, opts);
     Core tick(params, emu_tick);
+    const Probes tick_probes({&tick});
     tickUntilRetired(
         tick, ~std::uint64_t{0}, params.maxCycles,
         [&] { return tick.retiredCount(); },
         [&] { tick.sampleStatsCounter(); });
     EXPECT_EQ(tick.cyclesSkipped(), 0u);
-    expectSameObservations(a, observe(tick.result(), {&tick}),
+    expectSameObservations(a, observe(tick.result(), tick_probes),
                            what + " (core)");
     return skip.cyclesSkipped();
 }
@@ -701,12 +716,14 @@ expectSystemSkipMatchesTicks(const Workload &w, const CoreParams &params,
 
     EmulatorSet emus_skip = makeEmulators(w, n);
     System skip(params, emus_skip.cores);
-    const Observed a = observe(skip.run(), coresOf(skip));
+    const Probes skip_probes(coresOf(skip));
+    const Observed a = observe(skip.run(), skip_probes);
 
     EmulatorSet emus_tick = makeEmulators(w, n);
     System tick(params, emus_tick.cores);
+    const Probes tick_probes(coresOf(tick));
     tickSystem(tick, ~std::uint64_t{0}, params.maxCycles);
-    expectSameObservations(a, observe(tick.result(), coresOf(tick)),
+    expectSameObservations(a, observe(tick.result(), tick_probes),
                            what + " (system)");
     return skip.cyclesSkipped();
 }
@@ -797,7 +814,7 @@ TEST(PipelineIdleSkip, SampledWindowMatchesTickByTick)
     win.warmupInsts = 2'000;
     win.measureInsts = 20'000;
     const SimResult expect =
-        sample::runIntervalDetailed(w, params, win, nullptr, nullptr);
+        sample::runIntervalDetailed(w, params, win, nullptr);
 
     const ObservedScope scope;
     EmulatorSet emus_skip, emus_tick;
@@ -805,6 +822,8 @@ TEST(PipelineIdleSkip, SampledWindowMatchesTickByTick)
         windowSystem(w, params, win, emus_skip);
     const std::unique_ptr<System> tick =
         windowSystem(w, params, win, emus_tick);
+    const Probes skip_probes(coresOf(*skip));
+    const Probes tick_probes(coresOf(*tick));
     const std::uint64_t end = win.warmupInsts + win.measureInsts;
 
     const SimResult pre = skip->runUntilRetired(win.warmupInsts);
@@ -812,12 +831,12 @@ TEST(PipelineIdleSkip, SampledWindowMatchesTickByTick)
     expectResultEq(sample::deltaResult(post, pre), expect,
                    "window replica");
     EXPECT_GT(skip->cyclesSkipped(), 0u);
-    const Observed a = observe(post, coresOf(*skip));
+    const Observed a = observe(post, skip_probes);
 
     tickSystem(*tick, win.warmupInsts, params.maxCycles);
     EXPECT_EQ(tick->result().retired, pre.retired);
     tickSystem(*tick, end, params.maxCycles);
-    expectSameObservations(a, observe(tick->result(), coresOf(*tick)),
+    expectSameObservations(a, observe(tick->result(), tick_probes),
                            "sampled window");
 }
 

@@ -91,6 +91,45 @@ TEST(Sweep, ParallelMatchesSerial)
     EXPECT_EQ(p.stats().simulated, 6u);
 }
 
+TEST(Sweep, PipetraceRendersInSubmissionOrderAtAnyJobCount)
+{
+    NamedConfig reno;
+    ASSERT_TRUE(configByName("RENO", CoreParams::fourWide(), &reno));
+    const std::vector<std::string> names = {"gzip", "mcf", "gcc",
+                                            "bzip2"};
+    Campaign campaign;
+    for (const std::string &name : names)
+        campaign.add(workloadByName(name), reno);
+    // A repeat shares gzip's simulation and adds no diagram.
+    campaign.add(workloadByName("gzip"), reno);
+
+    CampaignOptions opts;
+    opts.observe.pipetrace = true;
+    opts.jobs = 1;
+    const std::string serial = renderPipeTraces(campaign.run(opts));
+    opts.jobs = 4;
+    const std::string parallel = renderPipeTraces(campaign.run(opts));
+    EXPECT_EQ(serial, parallel);
+
+    // One diagram per simulated job, in submission order.
+    std::size_t at = 0;
+    for (const std::string &name : names) {
+        at = serial.find("== " + name + " ==\n", at);
+        ASSERT_NE(at, std::string::npos) << name;
+    }
+    std::size_t headers = 0;
+    for (std::size_t i = serial.find(" ==\n"); i != std::string::npos;
+         i = serial.find(" ==\n", i + 1))
+        ++headers;
+    EXPECT_EQ(headers, names.size());
+
+    // A cache hit replays no trace.
+    ResultCache cache;
+    opts.cache = &cache;
+    campaign.run(opts);
+    EXPECT_EQ(renderPipeTraces(campaign.run(opts)), "");
+}
+
 TEST(Sweep, KeyedLookupFindsSubmissionResults)
 {
     Campaign campaign = smallCampaign();

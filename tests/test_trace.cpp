@@ -55,7 +55,7 @@ traceRun(const char *source, const RenoConfig &reno,
     params.reno = reno;
     Core core(params, emu);
     PipeTracer tracer(topts);
-    core.setRetireListener(&tracer);
+    core.observe(&tracer);
     TraceRun out;
     out.sim = core.run();
     out.records = tracer.records();

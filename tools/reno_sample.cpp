@@ -59,8 +59,7 @@ main(int argc, char **argv)
                              v.c_str());
                });
     parser.text("--cpi-json FILE",
-                "write extrapolated whole-program CPI stacks (requires "
-                "--cpi-stack)",
+                "write extrapolated whole-program CPI stacks",
                 &cpi_json);
     sweep::addCampaignFlags(parser, &options.campaign);
     obs::addObsFlags(parser, &obs_opts);
@@ -75,10 +74,11 @@ main(int argc, char **argv)
     const std::vector<NamedConfig> configs = selection.configs();
 
     const obs::Session obs_session(obs_opts);
-    if (!cpi_json.empty() && !obs_opts.cpiStack)
-        fatal("--cpi-json requires --cpi-stack");
     if (!cpi_json.empty() && validate)
         fatal("--cpi-json cannot be combined with --validate");
+    // Sampled jobs observe only the machine stack, and only for the
+    // report that asks for it.
+    options.campaign.observe.cpiStack = !cpi_json.empty();
 
     if (validate) {
         const sample::ValidationReport report =
@@ -131,12 +131,8 @@ main(int argc, char **argv)
                          "[sample] cpi: %zu of %zu runs carry stacks "
                          "(cache hits replay without profiling)\n",
                          rows.size(), sampled.runs.size());
-        const std::string doc = obs::renderSampledCpiJson(rows);
-        std::FILE *f = std::fopen(cpi_json.c_str(), "w");
-        if (!f)
+        if (!writeFile(cpi_json, obs::renderSampledCpiJson(rows)))
             fatal("cannot write '%s'", cpi_json.c_str());
-        std::fwrite(doc.data(), 1, doc.size(), f);
-        std::fclose(f);
     }
     return 0;
 }

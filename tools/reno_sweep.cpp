@@ -28,6 +28,7 @@ main(int argc, char **argv)
     bool all_stats = false;
     std::string cpi_json;
     std::string cpi_html;
+    std::string pipetrace_path;
     sweep::CampaignOptions opts;
     obs::ObsOptions obs_opts;
 
@@ -38,26 +39,31 @@ main(int argc, char **argv)
     parser.flag("--all-stats", "report every named SimResult counter",
                 &all_stats);
     parser.text("--cpi-json FILE",
-                "write per-job CPI stacks + the campaign aggregate "
-                "(requires --cpi-stack)",
+                "write per-job CPI stacks + the campaign aggregate",
                 &cpi_json);
     parser.text("--cpi-html FILE",
-                "write a self-contained HTML CPI report (requires "
-                "--cpi-stack)",
-                &cpi_html);
+                "write a self-contained HTML CPI report", &cpi_html);
     sweep::addCampaignFlags(parser, &opts);
     obs::addObsFlags(parser, &obs_opts);
+    obs::addObservationFlags(parser, &opts.observe, &pipetrace_path);
     parser.parse(argc, argv);
     if (selection.printListing())
         return 0;
+    // Stacks are collected exactly when a CPI report asks for them.
+    opts.observe.cpiStack = !cpi_json.empty() || !cpi_html.empty();
+    if (opts.observe.hotTopN > 0 && !opts.observe.cpiStack)
+        fatal("--profile-hot requires --cpi-json or --cpi-html");
+    // Opened before simulating, so a bad path costs no campaign.
+    std::FILE *pipetrace = pipetrace_path.empty()
+                               ? stderr
+                               : std::fopen(pipetrace_path.c_str(), "w");
+    if (!pipetrace)
+        fatal("--pipetrace: cannot write '%s'", pipetrace_path.c_str());
 
     const std::vector<const Workload *> workloads =
         selection.workloads();
     const std::vector<NamedConfig> configs = selection.configs();
     const obs::Session obs_session(obs_opts);
-
-    if ((!cpi_json.empty() || !cpi_html.empty()) && !obs_opts.cpiStack)
-        fatal("--cpi-json/--cpi-html require --cpi-stack");
 
     sweep::Campaign campaign;
     for (const Workload *w : workloads) {
@@ -70,21 +76,28 @@ main(int argc, char **argv)
         sweep::renderResults(results, selection.format(), all_stats);
     std::fwrite(rendered.data(), 1, rendered.size(), stdout);
 
-    if (!cpi_json.empty() || !cpi_html.empty()) {
+    if (opts.observe.pipetrace) {
+        const std::string traces = sweep::renderPipeTraces(results);
+        std::fwrite(traces.data(), 1, traces.size(), pipetrace);
+    }
+    if (pipetrace != stderr)
+        std::fclose(pipetrace);
+
+    if (opts.observe.cpiStack) {
         // Per-job CPI stacks + hotspots. Only jobs that actually
         // simulated under accounting carry a stack; a cache-hit job
         // (replayed from a profiling-agnostic cache entry) does not,
         // and the report says so rather than inventing zeros.
         std::vector<obs::CpiRow> rows;
         for (std::size_t i = 0; i < results.size(); ++i) {
-            if (!results.at(i).cpi.valid)
+            if (!results.at(i).observed.cpi.valid)
                 continue;
             const sweep::Job &job = results.job(i);
             obs::CpiRow row;
             row.workload = job.workload->name;
             row.config = job.config.name;
             row.cores = job.config.params.sys.numCores;
-            row.report = results.at(i).cpi;
+            row.report = results.at(i).observed.cpi;
             rows.push_back(std::move(row));
         }
         obs::MetricsRegistry::instance()
@@ -95,18 +108,15 @@ main(int argc, char **argv)
                          "[sweep] cpi: %zu of %zu jobs carry stacks "
                          "(cache hits replay without profiling)\n",
                          rows.size(), results.size());
-        auto write_file = [](const std::string &path,
-                             const std::string &content) {
-            std::FILE *f = std::fopen(path.c_str(), "w");
-            if (!f)
+        const auto write = [](const std::string &path,
+                              const std::string &text) {
+            if (!writeFile(path, text))
                 fatal("cannot write '%s'", path.c_str());
-            std::fwrite(content.data(), 1, content.size(), f);
-            std::fclose(f);
         };
         if (!cpi_json.empty())
-            write_file(cpi_json, obs::renderCpiJson(rows));
+            write(cpi_json, obs::renderCpiJson(rows));
         if (!cpi_html.empty())
-            write_file(cpi_html, obs::renderCpiHtml(rows));
+            write(cpi_html, obs::renderCpiHtml(rows));
     }
     return 0;
 }
